@@ -94,6 +94,9 @@ struct Driver {
   std::vector<SessionEvent> script;
   std::atomic<size_t> next{1};
   std::atomic<uint64_t> failures{0};
+  // Enqueue-to-completion samples (µs), appended by the completion
+  // chain — completions of one session never run concurrently.
+  std::vector<double> latency_us;
 };
 
 struct LoadCell {
@@ -127,6 +130,7 @@ bool RunLoadCell(const std::string& page, size_t sessions, size_t workers,
     auto driver = std::make_shared<Driver>();
     driver->session = *created;
     driver->script = MakeScript(s, events_per_session);
+    driver->latency_us.reserve(driver->script.size());
     drivers.push_back(std::move(driver));
   }
 
@@ -134,7 +138,8 @@ bool RunLoadCell(const std::string& page, size_t sessions, size_t workers,
   for (const auto& driver : drivers) {
     auto chain = std::make_shared<
         std::function<void(const xqib::Status&, double)>>();
-    *chain = [driver, chain](const xqib::Status& st, double) {
+    *chain = [driver, chain](const xqib::Status& st, double latency_us) {
+      driver->latency_us.push_back(latency_us);
       if (!st.ok()) driver->failures.fetch_add(1, std::memory_order_relaxed);
       size_t i = driver->next.fetch_add(1, std::memory_order_relaxed);
       if (i < driver->script.size()) {
@@ -167,8 +172,8 @@ bool RunLoadCell(const std::string& page, size_t sessions, size_t workers,
                    events_per_session);
       return false;
     }
-    std::vector<double> mine = driver->session->TakeLatencySamples();
-    samples.insert(samples.end(), mine.begin(), mine.end());
+    samples.insert(samples.end(), driver->latency_us.begin(),
+                   driver->latency_us.end());
     cell->doms.push_back(driver->session->SerializeDom());
   }
   cell->latency = xqib::bench::SummarizeLatencies(std::move(samples));
@@ -316,7 +321,7 @@ int main(int argc, char** argv) {
                 "\"p50_us\": %.1f, \"p99_us\": %.1f},\n",
                 guard_cell.ns_per_op, guard_cell.latency.p50,
                 guard_cell.latency.p99);
-  char buf[400];
+  char buf[2048];
   std::snprintf(
       buf, sizeof(buf),
       "  ],\n%s"

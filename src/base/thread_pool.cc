@@ -36,7 +36,11 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lk(queues_[victim]->mu);
     queues_[victim]->tasks.push_back(std::move(task));
   }
-  pending_.fetch_add(1, std::memory_order_release);
+  {
+    // Counted under the wake mutex, so a worker about to park sees it.
+    std::lock_guard<std::mutex> lk(wake_mu_);
+    queued_.fetch_add(1, std::memory_order_release);
+  }
   wake_cv_.notify_one();
 }
 
@@ -48,6 +52,7 @@ bool ThreadPool::FindWork(size_t self, std::function<void()>* out) {
     if (!q.tasks.empty()) {
       *out = std::move(q.tasks.back());
       q.tasks.pop_back();
+      queued_.fetch_sub(1, std::memory_order_release);
       return true;
     }
   }
@@ -59,6 +64,7 @@ bool ThreadPool::FindWork(size_t self, std::function<void()>* out) {
     if (!q.tasks.empty()) {
       *out = std::move(q.tasks.front());
       q.tasks.pop_front();
+      queued_.fetch_sub(1, std::memory_order_release);
       ++stats_.stolen;
       return true;
     }
@@ -72,16 +78,15 @@ void ThreadPool::WorkerMain(size_t self) {
     if (FindWork(self, &task)) {
       task();
       task = nullptr;
-      pending_.fetch_sub(1, std::memory_order_release);
       continue;
     }
     std::unique_lock<std::mutex> lk(wake_mu_);
     wake_cv_.wait(lk, [this] {
       return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
+             queued_.load(std::memory_order_acquire) > 0;
     });
     if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
+        queued_.load(std::memory_order_acquire) <= 0) {
       return;
     }
   }

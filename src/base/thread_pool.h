@@ -76,7 +76,8 @@ class ThreadPool {
   std::condition_variable wake_cv_;
   std::atomic<bool> stop_{false};
   std::atomic<size_t> next_queue_{0};
-  std::atomic<size_t> pending_{0};
+  // Queued, not yet taken. Signed: a task may be taken before counted.
+  std::atomic<std::ptrdiff_t> queued_{0};
   Stats stats_;
 };
 

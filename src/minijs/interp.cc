@@ -113,6 +113,32 @@ bool JsLooseEquals(const Value& a, const Value& b) {
 
 Interpreter::Interpreter() : globals_(std::make_shared<JsEnv>()) {}
 
+Interpreter::~Interpreter() {
+  for (const std::weak_ptr<JsEnv>& weak : captured_envs_) {
+    if (EnvPtr env = weak.lock()) env->vars.clear();
+  }
+}
+
+Value Interpreter::MakeFunction(const JsExpr* fn, const EnvPtr& env) {
+  auto obj = std::make_shared<JsObject>();
+  obj->fn = fn;
+  obj->closure = env;
+  if (!env->captured) {
+    env->captured = true;
+    if (captured_envs_.size() == captured_envs_.capacity()) {
+      // Prune scopes already freed before growing: amortized O(1).
+      captured_envs_.erase(
+          std::remove_if(captured_envs_.begin(), captured_envs_.end(),
+                         [](const std::weak_ptr<JsEnv>& w) {
+                           return w.expired();
+                         }),
+          captured_envs_.end());
+    }
+    captured_envs_.push_back(env);
+  }
+  return Value::Object(std::move(obj));
+}
+
 Value Interpreter::MakeNative(NativeFn fn) {
   auto obj = std::make_shared<JsObject>();
   obj->native = std::move(fn);
@@ -132,10 +158,7 @@ Status Interpreter::Run(std::unique_ptr<JsProgram> program) {
   // Hoist function declarations first (JS semantics).
   for (const JsStmtPtr& stmt : p->statements) {
     if (stmt->kind == JsStmtKind::kFunction) {
-      auto obj = std::make_shared<JsObject>();
-      obj->fn = stmt->expr.get();
-      obj->closure = globals_;
-      globals_->vars[stmt->str] = Value::Object(std::move(obj));
+      globals_->vars[stmt->str] = MakeFunction(stmt->expr.get(), globals_);
     }
   }
   for (const JsStmtPtr& stmt : p->statements) {
@@ -168,10 +191,7 @@ Status Interpreter::ExecBlock(const std::vector<JsStmtPtr>& body, EnvPtr env,
   // Hoist function declarations within the block.
   for (const JsStmtPtr& stmt : body) {
     if (stmt->kind == JsStmtKind::kFunction) {
-      auto obj = std::make_shared<JsObject>();
-      obj->fn = stmt->expr.get();
-      obj->closure = env;
-      env->vars[stmt->str] = Value::Object(std::move(obj));
+      env->vars[stmt->str] = MakeFunction(stmt->expr.get(), env);
     }
   }
   for (const JsStmtPtr& stmt : body) {
@@ -198,10 +218,7 @@ Status Interpreter::Exec(const JsStmt& s, EnvPtr env, Flow* flow,
       return Status();
     }
     case JsStmtKind::kFunction: {
-      auto obj = std::make_shared<JsObject>();
-      obj->fn = s.expr.get();
-      obj->closure = env;
-      env->vars[s.str] = Value::Object(std::move(obj));
+      env->vars[s.str] = MakeFunction(s.expr.get(), env);
       return Status();
     }
     case JsStmtKind::kIf: {
@@ -610,12 +627,8 @@ Result<Value> Interpreter::Eval(const JsExpr& e, EnvPtr env) {
       XQ_ASSIGN_OR_RETURN(Value cond, Eval(*e.kids[0], env));
       return Eval(cond.ToBoolean() ? *e.kids[1] : *e.kids[2], env);
     }
-    case JsExprKind::kFunction: {
-      auto obj = std::make_shared<JsObject>();
-      obj->fn = &e;
-      obj->closure = env;
-      return Value::Object(std::move(obj));
-    }
+    case JsExprKind::kFunction:
+      return MakeFunction(&e, env);
     case JsExprKind::kObjectLit: {
       auto obj = std::make_shared<JsObject>();
       for (const auto& [name, init] : e.props) {

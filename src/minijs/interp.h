@@ -84,6 +84,7 @@ using NativeFn = std::function<Result<Value>(std::vector<Value>& args,
 struct JsEnv {
   std::unordered_map<std::string, Value> vars;
   std::shared_ptr<JsEnv> parent;
+  bool captured = false;  // some script function closes over it
 };
 using EnvPtr = std::shared_ptr<JsEnv>;
 
@@ -108,6 +109,9 @@ struct JsObject {
 class Interpreter {
  public:
   Interpreter();
+  // Clears every scope a script function closed over: a function stored
+  // in the scope it closes over is a shared_ptr cycle.
+  ~Interpreter();
 
   // The global scope (hosts install document/window/... here).
   EnvPtr globals() { return globals_; }
@@ -150,10 +154,13 @@ class Interpreter {
   Status SetMember(const Value& base, const std::string& name,
                    const Value& value);
   Value* FindVar(const std::string& name, EnvPtr env);
+  // A script function object closing over `env`; records the scope.
+  Value MakeFunction(const JsExpr* fn, const EnvPtr& env);
 
   EnvPtr globals_;
   std::vector<std::unique_ptr<JsProgram>> programs_;
   std::vector<JsExprPtr> adopted_exprs_;
+  std::vector<std::weak_ptr<JsEnv>> captured_envs_;
   int call_depth_ = 0;
   static constexpr int kMaxCallDepth = 256;
 };

@@ -1,7 +1,6 @@
 #include "server/server.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <mutex>
 #include <sstream>
 #include <utility>
@@ -279,29 +278,11 @@ Result<net::HttpResponse> PageServer::HandleFrontEnd(
       return ErrorResponse(400, "event body: missing target attribute");
     }
     // Synchronous semantics: the response carries the event's fate.
-    struct Sync {
-      std::mutex mu;
-      std::condition_variable cv;
-      bool done = false;
-      Status status;
-      double latency_us = 0;
-    };
-    auto sync = std::make_shared<Sync>();
-    session->Submit(std::move(event),
-                    [sync](const Status& st, double latency_us) {
-                      std::lock_guard<std::mutex> lk(sync->mu);
-                      sync->status = st;
-                      sync->latency_us = latency_us;
-                      sync->done = true;
-                      sync->cv.notify_all();
-                    });
-    std::unique_lock<std::mutex> lk(sync->mu);
-    sync->cv.wait(lk, [&] { return sync->done; });
-    if (!sync->status.ok()) {
-      return ErrorResponse(500, sync->status.ToString());
-    }
+    double latency_us = 0;
+    Status st = session->Run(std::move(event), &latency_us);
+    if (!st.ok()) return ErrorResponse(500, st.ToString());
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.1f", sync->latency_us);
+    std::snprintf(buf, sizeof(buf), "%.1f", latency_us);
     return net::HttpResponse{
         200, "<ok latency-us=\"" + std::string(buf) + "\"/>",
         "application/xml"};

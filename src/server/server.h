@@ -17,7 +17,7 @@
 //   GET  <base>/sessions           -> the sessions/substrate report
 //   POST <base>/sessions/<id>/events   body = <event type="onclick"
 //                                  target="laptop" value=""/>
-//                                  -> <ok latency-us="..."/> (synchronous)
+//                                  -> <ok latency-us="..."/> (Session::Run)
 //   GET  <base>/sessions/<id>/dom  -> serialized session DOM
 //   POST <base>/sessions/<id>/close
 
@@ -70,7 +70,7 @@ class PageServer {
   Status CloseSession(const std::string& id);
   size_t session_count() const;
 
-  // The hot path: enqueue on the session's strand (see session.h).
+  // Asynchronous dispatch: Session::Submit on the named session.
   Status SubmitEvent(const std::string& session_id, SessionEvent event,
                      Session::Completion done = nullptr);
 
@@ -84,9 +84,9 @@ class PageServer {
 
   // Registers the REST endpoints above on `front` under `base_url`.
   // `front` may be the backend fabric itself or a separate one; it must
-  // outlive this server. Event POSTs execute synchronously, so don't
-  // call them from a hosted page's own script (a pool worker blocking
-  // on the pool).
+  // outlive this server. Event POSTs go through Session::Run, so a
+  // hosted page's script must not post to its own session (it would
+  // wait on the strand it holds).
   void InstallHttpFrontEnd(net::HttpFabric* front,
                            const std::string& base_url);
 

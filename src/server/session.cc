@@ -62,47 +62,66 @@ std::string Session::ScriptErrors() const {
   return out;
 }
 
+bool Session::Enqueue(SessionEvent event, Completion done) {
+  std::lock_guard<std::mutex> lk(queue_mu_);
+  queue_.push_back(
+      {std::move(event), std::move(done), std::chrono::steady_clock::now()});
+  enqueued_.fetch_add(1, std::memory_order_relaxed);
+  if (draining_) return false;  // the in-flight drain will pick it up
+  draining_ = true;
+  return true;
+}
+
 void Session::Submit(SessionEvent event, Completion done) {
-  Pending pending;
-  pending.event = std::move(event);
-  pending.done = std::move(done);
-  pending.enqueued_at = std::chrono::steady_clock::now();
-  bool schedule = false;
-  {
+  if (Enqueue(std::move(event), std::move(done))) ScheduleDrain();
+}
+
+Status Session::Run(SessionEvent event, double* latency_us) {
+  Status status;
+  bool done = false;  // guarded by queue_mu_
+  Completion signal = [&](const Status& st, double us) {
     std::lock_guard<std::mutex> lk(queue_mu_);
-    queue_.push_back(std::move(pending));
-    enqueued_.fetch_add(1, std::memory_order_relaxed);
-    if (!draining_) {
-      draining_ = true;
-      schedule = true;
-    }
-  }
-  if (!schedule) return;  // the in-flight drain will pick it up
+    status = st;
+    *latency_us = us;
+    done = true;
+    idle_cv_.notify_all();
+  };
+  if (Enqueue(std::move(event), std::move(signal))) Drain(&done);
+  std::unique_lock<std::mutex> lk(queue_mu_);
+  idle_cv_.wait(lk, [&done] { return done; });
+  return status;
+}
+
+void Session::ScheduleDrain() {
   if (pool_ != nullptr && pool_->size() > 0) {
     // The drain closure keeps the session alive even if the server
     // drops it from the map before the pool gets to the task.
     auto self = shared_from_this();
-    pool_->Submit([self] { self->Drain(); });
+    pool_->Submit([self] { self->Drain(nullptr); });
   } else {
-    Drain();  // serial baseline: the caller is the loop thread
+    Drain(nullptr);  // serial baseline: the caller is the loop thread
   }
 }
 
-void Session::Drain() {
-  std::lock_guard<std::mutex> run_lk(run_mu_);
-  for (;;) {
-    std::deque<Pending> batch;
-    {
-      std::lock_guard<std::mutex> lk(queue_mu_);
-      if (queue_.empty()) {
-        draining_ = false;
-        idle_cv_.notify_all();
-        return;
-      }
-      batch.swap(queue_);
+void Session::Drain(const bool* own_done) {
+  std::unique_lock<std::mutex> run_lk(run_mu_);
+  std::deque<Pending> batch;
+  std::unique_lock<std::mutex> lk(queue_mu_);
+  while (!queue_.empty()) {
+    if (own_done != nullptr && *own_done) {
+      lk.unlock();
+      run_lk.unlock();
+      ScheduleDrain();  // still draining_: the next drain takes over
+      return;
     }
+    batch.swap(queue_);
+    lk.unlock();
     for (Pending& pending : batch) Execute(pending);
+    batch.clear();
+    lk.lock();
   }
+  draining_ = false;
+  idle_cv_.notify_all();
 }
 
 void Session::Execute(Pending& pending) {
@@ -134,7 +153,6 @@ void Session::Execute(Pending& pending) {
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - pending.enqueued_at)
           .count();
-  latency_us_.push_back(us);
   if (pending.done) pending.done(st, us);
 }
 
@@ -155,13 +173,6 @@ Session::StatsSnapshot Session::stats() const {
   snap.errors = errors_.load(std::memory_order_relaxed);
   snap.alerts = alerts_.load(std::memory_order_relaxed);
   return snap;
-}
-
-std::vector<double> Session::TakeLatencySamples() {
-  std::lock_guard<std::mutex> run_lk(run_mu_);
-  std::vector<double> out;
-  out.swap(latency_us_);
-  return out;
 }
 
 }  // namespace xqib::server

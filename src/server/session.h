@@ -14,12 +14,12 @@
 // other's names.
 //
 // Concurrency model: the session is a strand. Events enqueue from any
-// thread; at most one drain runs at a time, on a shared-pool worker
-// (or inline when the server is serial), and that drain thread IS the
-// session's "loop thread" for the duration — the single-mutator
+// thread; at most one drain runs at a time, and that drain thread IS
+// the session's "loop thread" for the duration — the single-mutator
 // discipline every lower layer (PR 5-8) was built on carries over
 // unchanged, so per-session execution stays deterministic at every
-// pool size.
+// pool size. A synchronous Run on an idle strand drains on the calling
+// thread; Submit drains on a shared-pool worker (inline when serial).
 
 #ifndef XQIB_SERVER_SESSION_H_
 #define XQIB_SERVER_SESSION_H_
@@ -33,7 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "base/thread_pool.h"
 #include "browser/bom.h"
@@ -77,7 +76,7 @@ class Session : public std::enable_shared_from_this<Session> {
           const Options& options);
 
   // Page load (runs the page's scripts — Figure 1 steps 2-4). Call
-  // before the first Submit, on the creating thread.
+  // before the first event, on the creating thread.
   Status Navigate(const std::string& url);  // source via the backend
   Status LoadSource(const std::string& url, const std::string& source);
 
@@ -85,11 +84,16 @@ class Session : public std::enable_shared_from_this<Session> {
   uint64_t seq() const { return seq_; }
   const std::string& page_url() const { return page_url_; }
 
-  // The hot path: enqueues the event and, if no drain is in flight,
+  // Asynchronous: enqueues the event and, if no drain is in flight,
   // schedules one on the shared pool (inline when serial). `done` runs
-  // on the draining thread right after the event's dispatch quiesced.
-  // Thread-safe; per-session FIFO order is submission order.
+  // on the draining thread once the event's dispatch quiesced. Thread-
+  // safe; per-session order is enqueue order, for Submit and Run alike.
   void Submit(SessionEvent event, Completion done = nullptr);
+
+  // Synchronous: returns the event's status and latency. On an idle
+  // strand the caller drains until its own event completed and hands
+  // the rest to the pool; else it waits (so never from its own drain).
+  Status Run(SessionEvent event, double* latency_us);
 
   // Blocks until the queue is empty and no drain is running.
   void WaitIdle();
@@ -107,10 +111,6 @@ class Session : public std::enable_shared_from_this<Session> {
   };
   StatsSnapshot stats() const;
 
-  // Moves out the recorded per-event latency samples (µs). Call only
-  // when idle (after WaitIdle / DrainAll).
-  std::vector<double> TakeLatencySamples();
-
   // Per-session internals for tests and introspection.
   browser::Browser& browser() { return browser_; }
   plugin::XqibPlugin& plugin() { return *plugin_; }
@@ -122,7 +122,10 @@ class Session : public std::enable_shared_from_this<Session> {
     std::chrono::steady_clock::time_point enqueued_at;
   };
 
-  void Drain();
+  bool Enqueue(SessionEvent event, Completion done);  // true: took strand
+  void ScheduleDrain();  // on a pool worker, or inline when serial
+  // With `own_done`, stops once it is set and hands on the rest.
+  void Drain(const bool* own_done);
   void Execute(Pending& pending);
   std::string ScriptErrors() const;
 
@@ -137,7 +140,7 @@ class Session : public std::enable_shared_from_this<Session> {
   // Scheduling state: which events are queued and whether a drain owns
   // the strand.
   std::mutex queue_mu_;
-  std::condition_variable idle_cv_;
+  std::condition_variable idle_cv_;  // also signals Run completions
   std::deque<Pending> queue_;
   bool draining_ = false;
 
@@ -150,7 +153,6 @@ class Session : public std::enable_shared_from_this<Session> {
   std::atomic<uint64_t> dispatched_{0};
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> alerts_{0};
-  std::vector<double> latency_us_;  // guarded by run_mu_
 };
 
 }  // namespace xqib::server

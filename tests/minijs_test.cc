@@ -356,5 +356,54 @@ TEST_F(CoexistenceTest, JavaScriptRunsBeforeXQuery) {
   EXPECT_EQ(order->children()[1]->name().local(), "second");
 }
 
+// ------------------------------------------------------- lifetime ---
+
+// A function stored in the scope it closes over is a shared_ptr cycle
+// (hoisted declarations, function expressions kept in variables).
+// Destroying the interpreter must free those scopes — global, function
+// body and block alike — or every closed page leaks its JS heap.
+TEST(MiniJsLifetime, DestroyingThePageFreesClosureScopes) {
+  std::weak_ptr<JsEnv> globals;
+  std::vector<std::weak_ptr<JsObject>> functions;
+  {
+    Browser browser;
+    DomBinding js(&browser);
+    Window* w = browser.top_window();
+    ASSERT_TRUE(w->LoadSource("http://app.example.com/",
+                              "<html><body><p id=\"out\"/></body></html>")
+                    .ok());
+    Interpreter* interp = js.InterpreterFor(w);
+    globals = interp->globals();
+    interp->SetGlobal(
+        "track", Interpreter::MakeNative(
+                     [&functions](std::vector<Value>& args, Value,
+                                  Interpreter&) -> Result<Value> {
+                       functions.push_back(args.at(0).obj());
+                       return Value::Undefined();
+                     }));
+    Status st = js.Execute(
+        w,
+        "function outer(n) {"
+        "  function inner() { return n + 1; }"
+        "  track(inner);"
+        "  if (n > 0) { var twice = function() { return inner() * 2; };"
+        "               track(twice); }"
+        "  return inner();"
+        "}"
+        "{ function inBlock() { return outer(1); } track(inBlock); }"
+        "var keep = function() { return outer(2); };"
+        "track(outer); track(keep);"
+        "document.getElementById('out').textContent = outer(3) + keep();");
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_NE(xml::Serialize(w->document()->root()).find(">7<"),
+              std::string::npos);
+    EXPECT_EQ(functions.size(), 7u);
+  }
+  EXPECT_TRUE(globals.expired());
+  for (const std::weak_ptr<JsObject>& fn : functions) {
+    EXPECT_TRUE(fn.expired());
+  }
+}
+
 }  // namespace
 }  // namespace xqib::minijs

@@ -11,6 +11,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,6 +88,47 @@ TEST(ThreadPoolTest, ParallelForBalancesUnevenWork) {
     total.fetch_add(acc == 0 ? 1 : 1, std::memory_order_relaxed);
   });
   EXPECT_EQ(total.load(), 256u);
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
+TEST(ThreadPoolTest, IdleWorkersParkWhileATaskRuns) {
+  // One task sleeps 200 ms on a 4-worker pool. Workers that spun while
+  // any task ran would burn ~3 x 200 ms of CPU in that window; parked
+  // ones burn next to none. The bound is a sixth of the spinning cost.
+  std::promise<void> started, finished;  // outlive the pool's workers
+  ThreadPool pool(4);
+  pool.Submit([&started, &finished] {
+    started.set_value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    finished.set_value();
+  });
+  started.get_future().wait();
+  const double cpu0 = ProcessCpuSeconds();
+  finished.get_future().wait();
+  const double cpu_ms = (ProcessCpuSeconds() - cpu0) * 1e3;
+  EXPECT_LT(cpu_ms, 100.0) << "idle workers burned CPU while a task ran";
+}
+
+TEST(ThreadPoolTest, SubmitOntoAnIdlePoolNeverLosesTheWakeUp) {
+  // Each task is submitted from a non-pool thread after the previous
+  // one finished, so workers are racing back to sleep: a wake-up lost
+  // between a worker's predicate check and its sleep would strand the
+  // task until the next Submit, which never comes.
+  ThreadPool pool(4);
+  for (int i = 0; i < 10000; ++i) {
+    auto ran = std::make_shared<std::promise<void>>();
+    std::future<void> seen = ran->get_future();
+    pool.Submit([ran] { ran->set_value(); });
+    ASSERT_EQ(seen.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "task " << i << " was never picked up";
+  }
+  EXPECT_EQ(pool.stats().submitted, 10000u);
 }
 
 // ------------------------------------------- event loop, off-thread ---

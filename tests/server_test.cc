@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -310,6 +311,163 @@ TEST(ServerRacing, ConcurrentSessionsMatchSerialDoms) {
 
   std::vector<std::string> serial = run(0);
   for (size_t workers : {2u, 4u}) {
+    std::vector<std::string> pooled = run(workers);
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (size_t s = 0; s < serial.size(); ++s) {
+      EXPECT_EQ(pooled[s], serial[s])
+          << "session " << s << " diverged at pool " << workers;
+    }
+  }
+}
+
+// ------------------------------------------------- caller runs ---
+
+// A log page: every click appends its event value, so the DOM records
+// the order in which the strand ran the events.
+constexpr const char* kLogPage =
+    "<html><head><script type=\"text/xqueryp\"><![CDATA[\n"
+    "declare updating function local:log($evt, $obj) {\n"
+    "  insert node <p>{string($evt/value)}</p> as last\n"
+    "    into //div[@id=\"log\"]\n"
+    "};\n"
+    "on event \"onclick\" at //input[@id=\"btn\"]\n"
+    "  attach listener local:log\n"
+    "]]></script>\n"
+    "</head><body>\n"
+    "<div id=\"log\"/><input type=\"button\" id=\"btn\"/>\n"
+    "</body></html>";
+
+Result<net::HttpResponse> PostEvent(net::HttpFabric& web,
+                                    const std::string& session_id,
+                                    const std::string& target,
+                                    const std::string& value = "") {
+  return web.Perform({"POST",
+                      "http://server.local/sessions/" + session_id + "/events",
+                      "<event type=\"onclick\" target=\"" + target +
+                          "\" value=\"" + value + "\"/>"});
+}
+
+// The <p> texts of a serialized DOM, in document order.
+std::vector<std::string> Paragraphs(const std::string& dom) {
+  std::vector<std::string> out;
+  for (size_t at = dom.find("<p>"); at != std::string::npos;
+       at = dom.find("<p>", at)) {
+    size_t end = dom.find("</p>", at);
+    out.push_back(dom.substr(at + 3, end - at - 3));
+    at = end;
+  }
+  return out;
+}
+
+TEST(ServerCallerRuns, RestEventOnAnIdleSessionSubmitsNoPoolTask) {
+  auto srv = MakeCartServer(4);
+  srv->InstallHttpFrontEnd(&srv->backend(), "http://server.local");
+  net::HttpFabric& web = srv->backend();
+  auto created =
+      web.Perform({"POST", "http://server.local/sessions", kCartPage});
+  ASSERT_TRUE(created.ok() && created->status == 201);
+
+  const uint64_t before = srv->pool()->stats().submitted;
+  for (const char* id : {"laptop", "mouse", "keyboard"}) {
+    auto fired = PostEvent(web, "s1", id);
+    ASSERT_TRUE(fired.ok());
+    EXPECT_EQ(fired->status, 200) << fired->body;
+  }
+  // The posting thread ran each event itself: no hop to a pool worker.
+  EXPECT_EQ(srv->pool()->stats().submitted, before);
+  EXPECT_EQ(Paragraphs(srv->FindSession("s1")->SerializeDom()),
+            (std::vector<std::string>{"keyboard", "mouse", "laptop"}));
+}
+
+TEST(ServerCallerRuns, ConcurrentPostersKeepPerSessionFifo) {
+  // Four threads post to one session at once, each alternating an
+  // asynchronous Submit with a synchronous REST event. A REST event
+  // must neither overtake the poster's queued Submit nor be lost.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20;
+  for (size_t workers : {0u, 4u}) {
+    auto srv = MakeCartServer(workers);
+    srv->InstallHttpFrontEnd(&srv->backend(), "http://server.local");
+    net::HttpFabric& web = srv->backend();
+    auto created = srv->CreateSessionFromSource(
+        "http://shop.example.com/log.xhtml", kLogPage);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    const std::string id = (*created)->id();
+
+    std::atomic<int> rest_failures{0};
+    std::vector<std::thread> posters;
+    for (int t = 0; t < kThreads; ++t) {
+      posters.emplace_back([&, t] {
+        for (int i = 0; i < kRounds; ++i) {
+          SessionEvent ev = Buy("btn");
+          ev.value = std::to_string(t) + ":" + std::to_string(2 * i);
+          (void)srv->SubmitEvent(id, std::move(ev));
+          auto fired = PostEvent(web, id, "btn",
+                                 std::to_string(t) + ":" +
+                                     std::to_string(2 * i + 1));
+          if (!fired.ok() || fired->status != 200) ++rest_failures;
+        }
+      });
+    }
+    for (std::thread& poster : posters) poster.join();
+    srv->DrainAll();
+
+    EXPECT_EQ(rest_failures.load(), 0) << "pool " << workers;
+    EXPECT_EQ((*created)->stats().dispatched,
+              static_cast<uint64_t>(kThreads * kRounds * 2));
+    EXPECT_EQ((*created)->stats().errors, 0u);
+    std::vector<std::string> log = Paragraphs((*created)->SerializeDom());
+    ASSERT_EQ(log.size(), static_cast<size_t>(kThreads * kRounds * 2));
+    std::vector<int> last(kThreads, -1);
+    for (const std::string& entry : log) {
+      int t = std::stoi(entry.substr(0, entry.find(':')));
+      int seq = std::stoi(entry.substr(entry.find(':') + 1));
+      EXPECT_EQ(seq, last[t] + 1) << "poster " << t << " at pool " << workers;
+      last[t] = seq;
+    }
+  }
+}
+
+TEST(ServerCallerRuns, RestPathMatchesSerialDomsAtEveryPoolSize) {
+  // The pool-0 oracle through the front end: one client thread per
+  // session posts its script; every pool size must leave every session
+  // with the DOM the serial server produced.
+  constexpr size_t kSessions = 4;
+  constexpr int kEvents = 15;
+  constexpr const char* kIds[] = {"laptop", "mouse", "keyboard"};
+
+  auto run = [&](size_t workers) {
+    auto srv = MakeCartServer(workers);
+    srv->InstallHttpFrontEnd(&srv->backend(), "http://server.local");
+    net::HttpFabric& web = srv->backend();
+    for (size_t s = 0; s < kSessions; ++s) {
+      auto created =
+          web.Perform({"POST", "http://server.local/sessions", kCartPage});
+      EXPECT_TRUE(created.ok() && created->status == 201);
+    }
+    std::vector<std::thread> clients;
+    for (size_t s = 0; s < kSessions; ++s) {
+      clients.emplace_back([&web, &kIds, s] {
+        for (int e = 0; e < kEvents; ++e) {
+          auto fired = PostEvent(web, "s" + std::to_string(s + 1),
+                                 kIds[(s + static_cast<size_t>(e)) % 3]);
+          EXPECT_TRUE(fired.ok() && fired->status == 200);
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    std::vector<std::string> doms;
+    for (size_t s = 0; s < kSessions; ++s) {
+      auto dom = web.Get("http://server.local/sessions/s" +
+                         std::to_string(s + 1) + "/dom");
+      EXPECT_TRUE(dom.ok());
+      doms.push_back(dom.ok() ? dom->body : "");
+    }
+    return doms;
+  };
+
+  std::vector<std::string> serial = run(0);
+  for (size_t workers : {1u, 4u, 8u}) {
     std::vector<std::string> pooled = run(workers);
     ASSERT_EQ(pooled.size(), serial.size());
     for (size_t s = 0; s < serial.size(); ++s) {
