@@ -19,12 +19,15 @@
 //                evicts all 8 every op.
 //   index_churn  the same churn with the memo cache disabled, so the
 //                listener re-runs every op and the win is the //item
-//                name-index bucket served without a rebuild (the
-//                lazy index snapshot's per-name counters still match).
+//                name-index bucket served without a rebuild. Page
+//                documents track deltas, so both arms splice the touched
+//                buckets (PERFORMANCE.md §8) rather than rebuild.
 //
 // --check exits non-zero unless both ablations agree, the fine arm's
-// survivals and index fine-hits actually fired, and the memo hit rate
-// improves >= 5x over the coarse arm (the P6 acceptance floor).
+// survivals actually fired, the fine arm's index_churn window did ZERO
+// full name-index rebuilds while serving the stale bucket incrementally
+// (per-name fine hits or splices), and the memo hit rate improves >= 5x
+// over the coarse arm (the P6 acceptance floor).
 // --baseline FILE compares the fresh memo_churn fine-arm ns/op against
 // the checked-in BENCH_P6.json within +/-25% — the CI regression
 // guard.
@@ -75,9 +78,7 @@ std::string MakeChurnPage(int items, int listeners) {
 }
 
 // The index-churn page: a single predicate-free counter, so the op
-// cost is the //item bucket lookup itself — a full lazy-index rebuild
-// per op on the coarse arm, a snapshot-validated bucket serve on the
-// fine arm.
+// cost is the //item bucket lookup itself.
 std::string MakeIndexChurnPage(int items) {
   std::ostringstream out;
   out << "<html><head><script type=\"text/xqueryp\"><![CDATA[\n"
@@ -132,6 +133,8 @@ struct ArmCounters {
   uint64_t invalidations_global = 0;
   uint64_t invalidations_name = 0;
   uint64_t index_fine_hits = 0;
+  uint64_t index_builds = 0;
+  uint64_t index_rebuilds_avoided = 0;
 
   double HitRate() const {
     const uint64_t total = hits + misses;
@@ -157,6 +160,8 @@ bool RunArm(const std::string& page, bool fine, bool memo, int iters,
   const uint64_t global0 = stats.invalidations_global;
   const uint64_t name0 = stats.invalidations_name;
   const uint64_t index0 = doc->name_index_fine_hits();
+  const uint64_t builds0 = doc->name_index_builds();
+  const uint64_t avoided0 = doc->bucket_rebuilds_avoided();
   *ns_per_op = xqib::bench::NsPerOp([&] { d.Op(); }, iters);
   counters->hits = stats.hits - hits0;
   counters->misses = stats.misses - misses0;
@@ -164,6 +169,9 @@ bool RunArm(const std::string& page, bool fine, bool memo, int iters,
   counters->invalidations_global = stats.invalidations_global - global0;
   counters->invalidations_name = stats.invalidations_name - name0;
   counters->index_fine_hits = doc->name_index_fine_hits() - index0;
+  counters->index_builds = doc->name_index_builds() - builds0;
+  counters->index_rebuilds_avoided =
+      doc->bucket_rebuilds_avoided() - avoided0;
   *result = d.env.plugin().last_listener_result();
   if (!d.env.ScriptErrors().empty()) {
     std::fprintf(stderr, "script errors during churn: %s\n",
@@ -254,9 +262,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: no memo entry ever survived a churn op\n");
       return 1;
     }
-    if (index_fine.index_fine_hits == 0) {
+    if (index_fine.index_builds != 0 ||
+        index_fine.index_fine_hits + index_fine.index_rebuilds_avoided == 0) {
       std::fprintf(stderr,
-                   "FAIL: the name index never served a surviving bucket\n");
+                   "FAIL: index_churn rebuilt the name index %llu times in "
+                   "the timed window (%llu fine hits, %llu rebuilds "
+                   "avoided); expected 0 rebuilds\n",
+                   static_cast<unsigned long long>(index_fine.index_builds),
+                   static_cast<unsigned long long>(index_fine.index_fine_hits),
+                   static_cast<unsigned long long>(
+                       index_fine.index_rebuilds_avoided));
       return 1;
     }
     // The acceptance floor: the churn hit rate improves >= 5x. The

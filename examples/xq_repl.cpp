@@ -48,36 +48,6 @@ void PrintResult(const xdm::Sequence& result) {
 // folded in here after each run and dumped by `:counters`.
 xquery::Evaluator::EvalStats g_session_stats;
 
-void AccumulateStats(const xquery::Evaluator::EvalStats& s) {
-  xquery::Evaluator::EvalStats& d = g_session_stats;
-  d.sorts_performed += s.sorts_performed;
-  d.sorts_elided += s.sorts_elided;
-  d.name_index_hits += s.name_index_hits;
-  d.early_exits += s.early_exits;
-  d.count_index_hits += s.count_index_hits;
-  d.streams.items_pulled += s.streams.items_pulled;
-  d.streams.items_materialized += s.streams.items_materialized;
-  d.streams.buffers_avoided += s.streams.buffers_avoided;
-  d.arena_bytes_used += s.arena_bytes_used;
-  d.arena_resets += s.arena_resets;
-  d.intern_hits = s.intern_hits;  // pool snapshot, not a delta
-  d.parallel_predicate_chunks += s.parallel_predicate_chunks;
-  d.plan_compiles += s.plan_compiles;
-  d.plan_hits += s.plan_hits;
-  d.plan_misses += s.plan_misses;
-  d.plan_invalidations += s.plan_invalidations;
-  d.plan_bytes += s.plan_bytes;
-  d.delta.emitted += s.delta.emitted;
-  d.delta.index_splices += s.delta.index_splices;
-  d.delta.bucket_rebuilds_avoided += s.delta.bucket_rebuilds_avoided;
-  d.delta.listeners_skipped += s.delta.listeners_skipped;
-  d.http.cache_hits += s.http.cache_hits;
-  d.http.cache_misses += s.http.cache_misses;
-  d.http.prefetch_issued += s.http.prefetch_issued;
-  d.http.prefetch_hits += s.http.prefetch_hits;
-  d.http.scatter_batches += s.http.scatter_batches;
-}
-
 void PrintCounters(const xml::Document* context_doc) {
   const xquery::Evaluator::EvalStats& s = g_session_stats;
   std::printf("--- session counters ---\n");
@@ -105,11 +75,10 @@ void PrintCounters(const xml::Document* context_doc) {
               (unsigned long long)s.plan_invalidations,
               (unsigned long long)s.plan_bytes);
   std::printf("  delta: %llu emitted, %llu index splices, %llu rebuilds "
-              "avoided, %llu listeners skipped\n",
+              "avoided\n",
               (unsigned long long)s.delta.emitted,
               (unsigned long long)s.delta.index_splices,
-              (unsigned long long)s.delta.bucket_rebuilds_avoided,
-              (unsigned long long)s.delta.listeners_skipped);
+              (unsigned long long)s.delta.bucket_rebuilds_avoided);
   std::printf("  http: %llu cache hits, %llu cache misses, %llu prefetches "
               "issued, %llu prefetch hits, %llu scatter batches\n",
               (unsigned long long)s.http.cache_hits,
@@ -323,7 +292,10 @@ int RunQuery(const std::string& query, xml::Document* context_doc,
     return 1;
   }
   auto result = (*compiled)->Run(ctx);
-  AccumulateStats((*compiled)->evaluator().stats());
+  const xquery::Evaluator::EvalStats& run_stats =
+      (*compiled)->evaluator().stats();
+  g_session_stats += run_stats;
+  g_session_stats.intern_hits = run_stats.intern_hits;  // pool snapshot
   if (!result.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  result.status().ToString().c_str());

@@ -47,11 +47,6 @@ Result<xml::Node*> SingleNodeArg(const Sequence& seq, const char* what) {
   return seq[0].node();
 }
 
-// FNV-1a over the complete event payload a listener can observe through
-// $evt/$obj: every field MaterializeEvent serializes plus the identities
-// of the target and current-target nodes. Two events with equal hashes
-// and an unchanged document version are indistinguishable to a
-// memoizable listener.
 // Inverts AnalysisFacts::FunctionKey ("{ns}local#arity" or
 // "local#arity") back into the interned name + arity, so listener
 // eligibility checks compare tokens instead of rebuilding strings.
@@ -73,6 +68,50 @@ const xml::InternedName* ParseFunctionKeyToken(const std::string& key,
   return xml::InternName(ns, local);
 }
 
+// Listener signature per §4.3.1: ($evt, $obj), or a prefix of it. The
+// widest declared arity wins; false when none of 0-2 is declared.
+bool ResolveListenerArity(const xquery::StaticContext& sctx,
+                          const xml::QName& function, size_t* arity) {
+  for (size_t a : {2, 1, 0}) {
+    if (sctx.FindFunction(function, a) != nullptr) {
+      *arity = a;
+      return true;
+    }
+  }
+  return false;
+}
+
+// The per-dispatch view (EventStats) of one listener call's counters.
+void FillEventStats(const xquery::Evaluator::EvalStats& d,
+                    XqibPlugin::EventStats* es) {
+  es->sorts_elided = d.sorts_elided;
+  es->sorts_performed = d.sorts_performed;
+  es->name_index_hits = d.name_index_hits;
+  es->early_exits = d.early_exits;
+  es->count_index_hits = d.count_index_hits;
+  es->items_pulled = d.streams.items_pulled;
+  es->items_materialized = d.streams.items_materialized;
+  es->buffers_avoided = d.streams.buffers_avoided;
+  es->arena_bytes_used = d.arena_bytes_used;
+  es->arena_resets = d.arena_resets;
+  es->plan_hits = d.plan_hits;
+  es->plan_misses = d.plan_misses;
+  es->plan_compiles = d.plan_compiles;
+  es->plan_invalidations = d.plan_invalidations;
+  es->delta_emitted = d.delta.emitted;
+  es->delta_index_splices = d.delta.index_splices;
+  es->delta_bucket_rebuilds_avoided = d.delta.bucket_rebuilds_avoided;
+  es->http_cache_hits = d.http.cache_hits;
+  es->http_cache_misses = d.http.cache_misses;
+  es->http_prefetch_issued = d.http.prefetch_issued;
+  es->http_prefetch_hits = d.http.prefetch_hits;
+}
+
+// FNV-1a over the complete event payload a listener can observe through
+// $evt/$obj: every field MaterializeEvent serializes plus the identities
+// of the target and current-target nodes. Two events with equal hashes
+// and an unchanged document version are indistinguishable to a
+// memoizable listener.
 uint64_t HashEventPayload(const Event& event) {
   uint64_t h = 1469598103934665603ull;
   auto mix_bytes = [&h](const void* data, size_t n) {
@@ -126,7 +165,7 @@ void XqibPlugin::Install() {
   };
 }
 
-XqibPlugin::PageContext* XqibPlugin::FindPage(const Window* window) {
+XqibPlugin::PageContext* XqibPlugin::FindPage(const Window* window) const {
   auto it = pages_.find(window);
   return it == pages_.end() ? nullptr : it->second.get();
 }
@@ -141,14 +180,6 @@ XqibPlugin::PageContext* XqibPlugin::FindPageByContext(
     const DynamicContext& ctx) {
   for (auto& [window, page] : pages_) {
     if (page->ctx.get() == &ctx) return page.get();
-  }
-  return nullptr;
-}
-
-XqibPlugin::PageContext* XqibPlugin::FindPageByDocument(
-    const xml::Document* doc) {
-  for (auto& [window, page] : pages_) {
-    if (page->window->document() == doc) return page.get();
   }
   return nullptr;
 }
@@ -176,7 +207,9 @@ Status XqibPlugin::InitializePage(Window* window) {
   }
   pages_[window] = page;
   window->document()->set_fine_grained_versions(fine_grained_invalidation_);
-  window->document()->set_delta_tracking(eval_options_.delta_propagation);
+  // Page documents always track deltas: PUL applies splice the
+  // element-name index instead of rebuilding it.
+  window->document()->set_delta_tracking(true);
 
   // Step 2: extract scripts and inline handlers.
   double t0 = NowMicros();
@@ -234,34 +267,19 @@ Status XqibPlugin::InitializePage(Window* window) {
     if (analysis_failure.ok() && result.has_errors()) {
       analysis_failure = result.ToStatus();
     }
-    for (const std::string& key : result.facts.pure_functions) {
-      page->pure_functions.insert(key);
-    }
-    for (const std::string& key : result.facts.memoizable_functions) {
-      size_t arity = 0;
-      const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
-      if (token != nullptr) {
-        page->memoizable_functions.insert(
-            PageContext::ListenerKey{token, arity});
+    auto add_keys = [](const auto& keys, auto* set) {
+      for (const std::string& key : keys) {
+        size_t arity = 0;
+        const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
+        if (token != nullptr) set->insert({token, arity});
       }
-    }
-    for (const std::string& key : result.facts.parallel_safe_functions) {
-      size_t arity = 0;
-      const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
-      if (token != nullptr) {
-        page->parallel_safe_functions.insert(
-            PageContext::ListenerKey{token, arity});
-      }
-    }
-    for (const std::string& key :
-         result.facts.stageable_updating_functions) {
-      size_t arity = 0;
-      const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
-      if (token != nullptr) {
-        page->stageable_updating_functions.insert(
-            PageContext::ListenerKey{token, arity});
-      }
-    }
+    };
+    add_keys(result.facts.pure_functions, &page->pure_functions);
+    add_keys(result.facts.memoizable_functions, &page->memoizable_functions);
+    add_keys(result.facts.parallel_safe_functions,
+             &page->parallel_safe_functions);
+    add_keys(result.facts.stageable_updating_functions,
+             &page->stageable_updating_functions);
     // Effect summaries feed two consumers: the dispatcher's staged-run
     // interference check (every listener) and the memo cache's per-name
     // validity records (memoizable listeners with fully named reads).
@@ -454,62 +472,14 @@ Status XqibPlugin::RegisterXQueryInlineHandler(PageContext* page,
 }
 
 Status XqibPlugin::ApplyAfterRun(PageContext* page) {
-  // With delta propagation on, capture the structured write set of the
-  // apply pass. The document's own dispatch/index windows accumulate the
-  // same information for their consumers; the capture feeds the emitted
-  // counter and keeps the update layer's API honest in tests.
-  const bool track =
-      eval_options_.delta_propagation && !page->ctx->pul().empty();
+  const bool updated = !page->ctx->pul().empty();
   xml::DomDelta delta;
-  XQ_RETURN_NOT_OK(page->ctx->pul().ApplyAll(track ? &delta : nullptr));
-  if (track && !delta.Empty()) ++delta_stats_.emitted;
+  XQ_RETURN_NOT_OK(page->ctx->pul().ApplyAll(updated ? &delta : nullptr));
+  if (updated && !delta.Empty()) ++deltas_emitted_;
   for (const Browser::BomTree& tree : page->bom_trees) {
     XQ_RETURN_NOT_OK(browser_->SyncFromBomTree(tree, page->window->url()));
   }
   return Status();
-}
-
-void XqibPlugin::PropagateDelta(PageContext* page) {
-  xml::Document* doc = page->window->document();
-  if (!eval_options_.delta_propagation || !doc->delta_tracking()) return;
-  // Every recorded op bumps the document mutation version, so an
-  // unchanged version since the last sync means the dispatch window is
-  // provably empty — skip the lock-and-drain. This is the common case:
-  // only the first listener after an updating one finds a batch.
-  if (page->delta_synced_version == doc->mutation_version()) return;
-  xml::DomDelta delta;
-  doc->TakeDispatchDelta(&delta);
-  if (!delta.Empty()) {
-    const uint64_t seq = ++page->delta_seq;
-    if (delta.whole_tree) {
-      // Overflowed or untracked batch: every listener is dirty and the
-      // per-listener map carries no extra information.
-      page->all_dirty_seq = seq;
-      page->dirty_seq.clear();
-    } else {
-      for (const auto& [key, reads] : page->listener_read_names) {
-        if (xquery::analysis::ReadSetIntersectsWrites(reads, delta.touched)) {
-          page->dirty_seq[key] = seq;
-        }
-      }
-    }
-  }
-  // Even an empty batch re-anchors: the document version now provably
-  // matches the drained window, so skip probes stay armed.
-  page->delta_synced_version = doc->mutation_version();
-}
-
-bool XqibPlugin::DeltaSkipValid(const PageContext* page,
-                                const PageContext::ListenerKey& key,
-                                const PageContext::MemoEntry& entry,
-                                uint64_t doc_version) {
-  if (entry.delta_fill_seq == 0) return false;  // ⊤ reads: never skip
-  // Mutations since the last PropagateDelta have not been classified;
-  // the dirty map says nothing about them, so the probe disarms.
-  if (page->delta_synced_version != doc_version) return false;
-  if (page->all_dirty_seq > entry.delta_fill_seq) return false;
-  auto it = page->dirty_seq.find(key);
-  return it == page->dirty_seq.end() || it->second <= entry.delta_fill_seq;
 }
 
 xml::Node* XqibPlugin::MaterializeEvent(DynamicContext* ctx,
@@ -566,124 +536,125 @@ void XqibPlugin::ScatterListenerPrefetch(PageContext* page,
 
 void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
                                 const Event& event) {
-  // Fold any document mutations since the last sync point into the
-  // dirty-listener state before probing: the delta-skip check below is
-  // only sound against a synced window.
-  PropagateDelta(page);
-  // Listener signature per §4.3.1: ($evt, $obj). Resolve the arity
-  // BEFORE building any arguments so a memo hit can skip event
-  // materialization entirely.
-  size_t arity = 0;
-  if (page->sctx->FindFunction(function, 2) != nullptr) {
-    arity = 2;
-  } else if (page->sctx->FindFunction(function, 1) != nullptr) {
-    arity = 1;
-  } else if (page->sctx->FindFunction(function, 0) == nullptr) {
+  ListenerCall call;
+  if (!ResolveListenerArity(*page->sctx, function, &call.key.arity)) {
     last_script_error_ = Status::Error(
         "BRWS0004", "no listener function " + function.Lexical() +
                         " with arity 0, 1 or 2");
     return;
   }
+  RunListener(page, nullptr, function, event, &call);
+  CommitListener(page, nullptr, call);
+}
+
+std::function<void()> XqibPlugin::StageOnWorker(
+    std::shared_ptr<PageContext> page, const xml::QName& function,
+    const Event& event) {
+  // The attach-time eligibility check used the arity resolution of that
+  // moment; re-verify against today's — a later script may have added an
+  // overload that resolves first and was NOT proved stageable. Updating
+  // listeners stage only with fine-grained invalidation on (the ablation
+  // switch also restores serial updating dispatch).
+  ListenerCall call;
+  const bool resolved =
+      ResolveListenerArity(*page->sctx, function, &call.key.arity);
+  const PageContext::ListenerKey key{function.token(), call.key.arity};
+  const bool pure_safe =
+      resolved && page->parallel_safe_functions.count(key) > 0;
+  call.updating = resolved && !pure_safe && fine_grained_invalidation_ &&
+                  page->stageable_updating_functions.count(key) > 0;
+  if (pure_safe || call.updating) {
+    std::shared_ptr<PageContext::WorkerSlot> slot =
+        AcquireWorkerSlot(page.get());
+    RunListener(page.get(), slot.get(), function, event, &call);
+    // A pure listener must come back with an empty PUL (anything else
+    // means the analyzer's proof was wrong); an updating listener's PUL
+    // is the point, and transfers at commit.
+    if (call.status.ok() && (call.updating || slot->ctx->pul().empty())) {
+      return [this, page, slot, call]() mutable {
+        CommitListener(page.get(), slot.get(), call);
+        ReleaseWorkerSlot(page.get(), std::move(slot));
+      };
+    }
+    ReleaseWorkerSlot(page.get(), std::move(slot));
+  }
+  return [this, page, function, event]() {
+    ++parallel_fallbacks_;
+    InvokeListener(page.get(), function, event);
+  };
+}
+
+XqibPlugin::MemoProbe XqibPlugin::ProbeMemo(const PageContext& page,
+                                            const PageContext::MemoKey& key,
+                                            uint64_t doc_version,
+                                            std::string* cached) const {
+  // Shared lock: staged listeners probe concurrently from pool workers
+  // while the loop thread is parked inside the dispatch batch, so neither
+  // the cache nor the name-version map can move underneath. Erasure,
+  // insertion and re-anchoring happen exclusively at commit.
+  std::shared_lock<std::shared_mutex> lk(page.memo_mu);
+  auto it = page.memo_cache.find(key);
+  if (it == page.memo_cache.end()) return MemoProbe::kMiss;
+  const PageContext::MemoEntry& entry = it->second;
+  MemoProbe found = MemoProbe::kHit;
+  if (entry.doc_version != doc_version) {
+    // Globally stale, but if none of the names the listener reads were
+    // touched since fill time, the recorded result is still exact
+    // (PERFORMANCE.md §6).
+    if (!fine_grained_invalidation_ || !entry.fine_grained) {
+      return MemoProbe::kStaleGlobal;
+    }
+    const xml::Document* doc = page.window->document();
+    for (const auto& [token, version] : entry.read_versions) {
+      if (doc->name_version(token) != version) return MemoProbe::kStaleName;
+    }
+    found = MemoProbe::kFineHit;
+  }
+  *cached = entry.serialized;
+  return found;
+}
+
+void XqibPlugin::RunListener(PageContext* page, PageContext::WorkerSlot* slot,
+                             const xml::QName& function, const Event& event,
+                             ListenerCall* call) {
+  call->key.name = function.token();
+  DynamicContext* ctx = page->ctx.get();
+  xquery::Evaluator* evaluator = page->evaluator.get();
+  net::HttpPrefetcher* prefetcher = page->prefetcher.get();
+  std::string* result = &last_listener_result_;
+  if (slot != nullptr) {
+    ctx = slot->ctx.get();
+    evaluator = slot->evaluator.get();
+    prefetcher = slot->prefetcher.get();
+    result = &slot->result;
+  }
 
   // Memo cache: a listener the analyzer proved memoizable (DOM-pure AND
   // free of observable host calls) can only read the event payload and
-  // the document snapshot, so (payload hash, mutation version) fully
-  // determines its result — replay the recorded serialization instead of
-  // re-evaluating. A stale version means the DOM mutated since the entry
-  // was recorded: discard it and run fresh.
-  const bool memoizable =
-      memo_enabled_ && page->memoizable_functions.count(
-                           PageContext::ListenerKey{function.token(),
-                                                    arity}) > 0;
-  const uint64_t doc_version = page->window->document()->mutation_version();
-  const PageContext::MemoKey memo_key{function.token(), arity,
-                                      HashEventPayload(event)};
-  uint64_t memo_invalidated = 0;
-  uint64_t memo_invalidated_name = 0;
-  if (memoizable) {
-    // Exclusive lock: the serial path both reads and erases. Staged
-    // listeners probe under a shared lock from pool workers, but only
-    // while the loop thread is parked inside the dispatch batch — the
-    // lock mainly keeps the protocol uniform (and TSan quiet).
-    std::unique_lock<std::shared_mutex> lk(page->memo_mu);
-    auto it = page->memo_cache.find(memo_key);
-    if (it != page->memo_cache.end()) {
-      bool valid = it->second.doc_version == doc_version;
-      uint64_t fine_survival = 0;
-      uint64_t delta_skip = 0;
-      // The delta probe rides on the same effect analysis as the
-      // per-name counters, so the fine-grained ablation switch (which
-      // restores pre-effect-analysis behavior exactly) disables it too.
-      if (!valid && eval_options_.delta_propagation &&
-          fine_grained_invalidation_ &&
-          DeltaSkipValid(page,
-                         PageContext::ListenerKey{function.token(), arity},
-                         it->second, doc_version)) {
-        // Every mutation batch since fill time missed the listener's read
-        // set (PropagateDelta above synced the window), so the recorded
-        // result is exact without probing per-name counters. Re-anchor so
-        // the next probe takes the one-compare fast path.
-        valid = true;
-        delta_skip = 1;
-        ++delta_stats_.listeners_skipped;
-        it->second.doc_version = doc_version;
-        it->second.delta_fill_seq = page->delta_seq;
-      }
-      if (!valid && fine_grained_invalidation_ && it->second.fine_grained) {
-        // Globally stale, but if none of the names the listener reads
-        // were touched since fill time, the recorded result is still
-        // exact (PERFORMANCE.md §6).
-        const xml::Document* doc = page->window->document();
-        valid = true;
-        for (const auto& [token, version] : it->second.read_versions) {
-          if (doc->name_version(token) != version) {
-            valid = false;
-            break;
-          }
-        }
-        if (valid) {
-          fine_survival = 1;
-          ++memo_stats_.fine_grained_survivals;
-          // Re-anchor to the current global version so the next probe
-          // takes the one-compare fast path again.
-          it->second.doc_version = doc_version;
-        }
-      }
-      if (valid) {
-        ++memo_stats_.hits;
-        last_listener_result_ = it->second.serialized;
-        last_event_stats_ = EventStats{};
-        last_event_stats_.memo_hits = 1;
-        last_event_stats_.memo_fine_survivals = fine_survival;
-        last_event_stats_.delta_listeners_skipped = delta_skip;
-        if (delta_skip != 0) {
-          ++page->evaluator->mutable_delta_stats().listeners_skipped;
-        }
-        // Memoizable implies pure: nothing to apply, nothing to render.
-        ++pure_listener_skips_;
-        return;
-      }
-      memo_invalidated_name =
-          fine_grained_invalidation_ && it->second.fine_grained ? 1 : 0;
-      page->memo_cache.erase(it);
-      ++memo_stats_.invalidations;
-      if (memo_invalidated_name != 0) {
-        ++memo_stats_.invalidations_name;
-      } else {
-        ++memo_stats_.invalidations_global;
-      }
-      memo_invalidated = 1;
-    } else {
-      ++memo_stats_.misses;
+  // the document snapshot, so a valid entry for the payload is its
+  // result — replay it instead of re-evaluating.
+  if (memo_enabled_ && page->memoizable_functions.count(
+                           {call->key.name, call->key.arity}) > 0) {
+    call->key.payload_hash = HashEventPayload(event);
+    call->doc_version = page->window->document()->mutation_version();
+    call->memo = ProbeMemo(*page, call->key, call->doc_version, result);
+    if (call->memo == MemoProbe::kHit || call->memo == MemoProbe::kFineHit) {
+      return;
     }
   }
 
-  std::vector<Sequence> args;
-  if (arity >= 1) {
-    args.push_back(
-        Sequence{Item::Node(MaterializeEvent(page->ctx.get(), event))});
+  if (slot != nullptr) {
+    // Fresh environment/focus per staging: globals may rebind between
+    // events. The page context is read-only for the whole staged run, so
+    // the copy races with nothing.
+    ctx->env() = page->ctx->env();
+    ctx->set_focus(page->ctx->focus());
   }
-  if (arity == 2) {
+  std::vector<Sequence> args;
+  if (call->key.arity >= 1) {
+    args.push_back(Sequence{Item::Node(MaterializeEvent(ctx, event))});
+  }
+  if (call->key.arity == 2) {
     // $obj is the node the listener is attached to (DOM `this`, i.e. the
     // current target while capturing/bubbling), not the original target.
     xml::Node* obj = event.current_target != nullptr ? event.current_target
@@ -691,157 +662,184 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
     args.push_back(obj != nullptr ? Sequence{Item::Node(obj)} : Sequence{});
   }
 
-  // The page evaluator's counters accumulate across its whole lifetime,
-  // so per-event numbers MUST be before/after deltas — overwriting (not
-  // adding to) last_event_stats_ each dispatch keeps events independent.
-  // Intern-pool hits come straight from the process-wide pool because
-  // EvalStats only snapshots them at arena resets.
-  // Fabric and prefetcher counters are snapshotted BEFORE the scatter so
-  // the prefetch issuance is charged to this dispatch. (The fabric is
-  // shared across pages, so concurrent sessions' traffic can land in
-  // whichever dispatch window is open — totals remain accurate, like
-  // intern_hits.)
+  // Counters accumulate across the evaluator's whole lifetime, so
+  // per-event numbers are before/after deltas. The prefetcher is
+  // snapshotted BEFORE the scatter so the issuance is charged to this
+  // call. Fabric, intern-pool and document counters are process-shared:
+  // concurrently staged peers would land in a staged run's window, so
+  // only the serial executor diffs them.
+  const bool serial = slot == nullptr;
   net::HttpFabric::Stats http_before;
+  if (serial && fabric_ != nullptr) http_before = fabric_->stats();
   net::HttpPrefetcher::Stats prefetch_before;
-  if (fabric_ != nullptr) http_before = fabric_->stats();
-  if (page->prefetcher != nullptr) prefetch_before = page->prefetcher->stats();
-  // Scatter-gather federation (PERFORMANCE.md §10): issue every
-  // statically known GET in the listener body up front, so the fabric's
-  // virtual-time window overlaps their latencies instead of paying the
-  // round trips one after another.
-  if (page->prefetcher != nullptr) {
-    ScatterListenerPrefetch(page, page->prefetcher.get(), function, arity);
+  if (prefetcher != nullptr) {
+    prefetch_before = prefetcher->stats();
+    // Scatter-gather federation (PERFORMANCE.md §10): issue every
+    // statically known GET in the listener body up front, so the
+    // fabric's virtual-time window overlaps their latencies.
+    ScatterListenerPrefetch(page, prefetcher, function, call->key.arity);
   }
-  xquery::Evaluator::EvalStats before = page->evaluator->stats();
-  xml::InternPoolStats intern_before = xml::GetInternStats();
-  // Delta counters live on the document (splices) and the plugin
-  // (emissions), not the evaluator: diff them the same way.
+  const xquery::Evaluator::EvalStats before = evaluator->stats();
   const xml::Document* doc = page->window->document();
-  const uint64_t delta_emitted_before = delta_stats_.emitted;
-  const uint64_t splices_before = doc->index_splices();
-  const uint64_t avoided_before = doc->bucket_rebuilds_avoided();
-  Result<Sequence> result =
-      page->evaluator->CallFunction(function, std::move(args), *page->ctx);
+  xml::InternPoolStats intern_before;
+  uint64_t splices_before = 0;
+  uint64_t avoided_before = 0;
+  if (serial) {
+    intern_before = xml::GetInternStats();
+    splices_before = doc->index_splices();
+    avoided_before = doc->bucket_rebuilds_avoided();
+  }
+  Result<Sequence> value =
+      evaluator->CallFunction(function, std::move(args), *ctx);
   // Await any prefetch the body never consumed: a leftover future must
   // not survive into a later dispatch (the resource may change), and its
-  // latency still settles into the fabric's virtual clock as overlapped
-  // (speculation wasted bandwidth, not wall-clock).
-  if (page->prefetcher != nullptr) page->prefetcher->Drain();
-  const xquery::Evaluator::EvalStats& after = page->evaluator->stats();
-  last_event_stats_ = EventStats{};
-  last_event_stats_.sorts_elided = after.sorts_elided - before.sorts_elided;
-  last_event_stats_.sorts_performed =
-      after.sorts_performed - before.sorts_performed;
-  last_event_stats_.name_index_hits =
-      after.name_index_hits - before.name_index_hits;
-  last_event_stats_.early_exits = after.early_exits - before.early_exits;
-  last_event_stats_.count_index_hits =
-      after.count_index_hits - before.count_index_hits;
-  last_event_stats_.items_pulled =
-      after.streams.items_pulled - before.streams.items_pulled;
-  last_event_stats_.items_materialized =
-      after.streams.items_materialized - before.streams.items_materialized;
-  last_event_stats_.buffers_avoided =
-      after.streams.buffers_avoided - before.streams.buffers_avoided;
-  last_event_stats_.arena_bytes_used =
-      after.arena_bytes_used - before.arena_bytes_used;
-  last_event_stats_.intern_hits =
-      xml::GetInternStats().hits - intern_before.hits;
-  last_event_stats_.memo_misses = memoizable && memo_invalidated == 0 ? 1 : 0;
-  last_event_stats_.memo_invalidations = memo_invalidated;
-  last_event_stats_.memo_invalidations_name = memo_invalidated_name;
-  last_event_stats_.memo_invalidations_global =
-      memo_invalidated - memo_invalidated_name;
-  last_event_stats_.plan_hits = after.plan_hits - before.plan_hits;
-  last_event_stats_.plan_misses = after.plan_misses - before.plan_misses;
-  last_event_stats_.plan_compiles = after.plan_compiles - before.plan_compiles;
-  last_event_stats_.plan_invalidations =
-      after.plan_invalidations - before.plan_invalidations;
-  last_event_stats_.delta_index_splices = doc->index_splices() - splices_before;
-  last_event_stats_.delta_bucket_rebuilds_avoided =
-      doc->bucket_rebuilds_avoided() - avoided_before;
-  if (fabric_ != nullptr) {
+  // latency still settles into the fabric's virtual clock as overlapped.
+  if (prefetcher != nullptr) prefetcher->Drain();
+
+  call->stats = evaluator->stats();
+  call->stats -= before;
+  if (prefetcher != nullptr) {
+    const net::HttpPrefetcher::Stats& pf = prefetcher->stats();
+    call->stats.http.prefetch_issued = pf.issued - prefetch_before.issued;
+    call->stats.http.prefetch_hits = pf.hits - prefetch_before.hits;
+  }
+  if (serial) {
+    call->intern_hits = xml::GetInternStats().hits - intern_before.hits;
+    call->stats.delta.index_splices = doc->index_splices() - splices_before;
+    call->stats.delta.bucket_rebuilds_avoided =
+        doc->bucket_rebuilds_avoided() - avoided_before;
+  }
+  if (serial && fabric_ != nullptr) {
     const net::HttpFabric::Stats& hf = fabric_->stats();
-    last_event_stats_.http_requests = hf.requests - http_before.requests;
-    last_event_stats_.http_cache_hits =
-        hf.cache_hits - http_before.cache_hits;
-    last_event_stats_.http_cache_misses =
-        hf.cache_misses - http_before.cache_misses;
-    last_event_stats_.http_makespan_ms =
-        hf.makespan_ms - http_before.makespan_ms;
-    last_event_stats_.http_overlapped_ms =
-        hf.overlapped_ms - http_before.overlapped_ms;
+    call->http_requests = hf.requests - http_before.requests;
+    call->stats.http.cache_hits = hf.cache_hits - http_before.cache_hits;
+    call->stats.http.cache_misses = hf.cache_misses - http_before.cache_misses;
+    call->http_makespan_ms = hf.makespan_ms - http_before.makespan_ms;
+    call->http_overlapped_ms = hf.overlapped_ms - http_before.overlapped_ms;
   }
-  if (page->prefetcher != nullptr) {
-    const net::HttpPrefetcher::Stats& pf = page->prefetcher->stats();
-    last_event_stats_.http_prefetch_issued =
-        pf.issued - prefetch_before.issued;
-    last_event_stats_.http_prefetch_hits = pf.hits - prefetch_before.hits;
+
+  if (evaluator->exited()) evaluator->TakeExitValue();
+  if (value.ok()) {
+    *result = xdm::SequenceToString(*value);
+  } else {
+    call->status = value.status();
   }
-  if (page->evaluator->exited()) page->evaluator->TakeExitValue();
-  if (!result.ok()) {
-    last_script_error_ = result.status();
-    page->evaluator->ResetDispatchArena(*page->ctx);
-    ++last_event_stats_.arena_resets;
+  // The result is serialized and the PUL owns its content: reclaim every
+  // stream operator this call allocated in one wholesale reset.
+  evaluator->ResetDispatchArena(*ctx);
+  call->stats.arena_resets = 1;
+}
+
+void XqibPlugin::CommitListener(PageContext* page,
+                                PageContext::WorkerSlot* slot,
+                                ListenerCall& call) {
+  if (slot != nullptr) {
+    last_listener_result_.swap(slot->result);
+    HandOverSlotOutput(page, slot, call.updating);
+  }
+
+  last_event_stats_ = EventStats{};
+  if (call.memo == MemoProbe::kHit || call.memo == MemoProbe::kFineHit) {
+    ++memo_stats_.hits;
+    last_event_stats_.memo_hits = 1;
+    if (call.memo == MemoProbe::kFineHit) {
+      ++memo_stats_.fine_grained_survivals;
+      last_event_stats_.memo_fine_survivals = 1;
+      // Re-anchor to the version the survival was proved at, so the next
+      // probe takes the one-compare path. An entry refilled since the
+      // probe carries a version at least as new; leave it.
+      std::unique_lock<std::shared_mutex> lk(page->memo_mu);
+      auto it = page->memo_cache.find(call.key);
+      if (it != page->memo_cache.end() &&
+          it->second.doc_version < call.doc_version) {
+        it->second.doc_version = call.doc_version;
+      }
+    }
+    // Memoizable implies pure: nothing to apply, nothing to render.
+    ++pure_listener_skips_;
     return;
   }
-  last_listener_result_ = xdm::SequenceToString(*result);
-  // A listener the analyzer proved DOM-pure cannot have produced update
-  // primitives or touched BOM trees: skip the apply/re-render pass. The
-  // PUL-empty check stays as a belt-and-braces runtime guard.
-  const bool pure_skip =
-      page->pure_functions.count(xquery::analysis::AnalysisFacts::FunctionKey(
-          function.Clark(), arity)) > 0 &&
-      page->ctx->pul().empty();
-  if (pure_skip) {
+
+  const PageContext::ListenerKey key{call.key.name, call.key.arity};
+  bool filled = false;
+  if (!call.status.ok()) {
+    last_script_error_ = call.status;
+  } else if (page->pure_functions.count(key) > 0 &&
+             page->ctx->pul().empty()) {
+    // A listener the analyzer proved DOM-pure cannot have produced update
+    // primitives or touched BOM trees: skip the apply/re-render pass. The
+    // PUL-empty check stays as a belt-and-braces runtime guard.
     ++pure_listener_skips_;
-    // Record the result only for genuinely memoizable listeners and only
-    // on a clean run (no error, empty PUL) — errors are never cached.
-    if (memoizable) {
+    // Record the result only for memoizable listeners and only on a
+    // clean run — errors are never cached.
+    if (call.memo != MemoProbe::kNone) {
       PageContext::MemoEntry entry =
-          MakeMemoEntry(page, PageContext::ListenerKey{function.token(), arity},
-                        doc_version, last_listener_result_);
+          MakeMemoEntry(page, key, call.doc_version, last_listener_result_);
       std::unique_lock<std::shared_mutex> lk(page->memo_mu);
-      page->memo_cache[memo_key] = std::move(entry);
+      page->memo_cache[call.key] = std::move(entry);
+      filled = true;
     }
   } else {
+    const uint64_t emitted_before = deltas_emitted_;
     Status st = ApplyAfterRun(page);
     if (!st.ok()) last_script_error_ = st;
+    call.stats.delta.emitted = deltas_emitted_ - emitted_before;
   }
-  last_event_stats_.delta_emitted = delta_stats_.emitted - delta_emitted_before;
-  // Fold the delta counters into the evaluator's cumulative EvalStats and
-  // the profiler fast-path block so `:stats` and profile reports carry
-  // them alongside the PR 5/6/7 counters.
-  {
-    xquery::Evaluator::EvalStats::DeltaStats& ds =
-        page->evaluator->mutable_delta_stats();
-    ds.emitted += last_event_stats_.delta_emitted;
-    ds.index_splices += last_event_stats_.delta_index_splices;
-    ds.bucket_rebuilds_avoided +=
-        last_event_stats_.delta_bucket_rebuilds_avoided;
-    xquery::Evaluator::EvalStats::HttpStats& hs =
-        page->evaluator->mutable_http_stats();
-    hs.cache_hits += last_event_stats_.http_cache_hits;
-    hs.cache_misses += last_event_stats_.http_cache_misses;
-    hs.prefetch_issued += last_event_stats_.http_prefetch_issued;
-    hs.prefetch_hits += last_event_stats_.http_prefetch_hits;
-    if (page->ctx->profiler != nullptr) {
-      xquery::Profiler::FastPathCounters& fp =
-          page->ctx->profiler->fast_path();
-      fp.delta_emitted += last_event_stats_.delta_emitted;
-      fp.delta_index_splices += last_event_stats_.delta_index_splices;
-      fp.delta_bucket_rebuilds_avoided +=
-          last_event_stats_.delta_bucket_rebuilds_avoided;
-      fp.http_cache_hits += last_event_stats_.http_cache_hits;
-      fp.http_cache_misses += last_event_stats_.http_cache_misses;
-      fp.http_prefetch_issued += last_event_stats_.http_prefetch_issued;
-      fp.http_prefetch_hits += last_event_stats_.http_prefetch_hits;
+
+  if (call.memo == MemoProbe::kMiss) {
+    ++memo_stats_.misses;
+    last_event_stats_.memo_misses = 1;
+  } else if (call.memo == MemoProbe::kStaleGlobal ||
+             call.memo == MemoProbe::kStaleName) {
+    if (!filled) {
+      std::unique_lock<std::shared_mutex> lk(page->memo_mu);
+      page->memo_cache.erase(call.key);
+    }
+    ++memo_stats_.invalidations;
+    last_event_stats_.memo_invalidations = 1;
+    if (call.memo == MemoProbe::kStaleName) {
+      ++memo_stats_.invalidations_name;
+      last_event_stats_.memo_invalidations_name = 1;
+    } else {
+      ++memo_stats_.invalidations_global;
+      last_event_stats_.memo_invalidations_global = 1;
     }
   }
-  // The dispatch is over and its result is materialized: reclaim every
-  // stream operator this event allocated in one wholesale reset.
-  page->evaluator->ResetDispatchArena(*page->ctx);
-  ++last_event_stats_.arena_resets;
+
+  // Cumulative counters: a staged run counted on its slot evaluator, so
+  // all of it merges into the page evaluator; a serial run counted on the
+  // page evaluator itself, which only lacks the blocks the host diffed.
+  const xquery::Evaluator::EvalStats& s = call.stats;
+  if (slot != nullptr) {
+    page->evaluator->AddStats(s);
+  } else {
+    xquery::Evaluator::EvalStats::DeltaStats& ds =
+        page->evaluator->mutable_delta_stats();
+    ds.emitted += s.delta.emitted;
+    ds.index_splices += s.delta.index_splices;
+    ds.bucket_rebuilds_avoided += s.delta.bucket_rebuilds_avoided;
+    xquery::Evaluator::EvalStats::HttpStats& hs =
+        page->evaluator->mutable_http_stats();
+    hs.cache_hits += s.http.cache_hits;
+    hs.cache_misses += s.http.cache_misses;
+    hs.prefetch_issued += s.http.prefetch_issued;
+    hs.prefetch_hits += s.http.prefetch_hits;
+  }
+  if (page->ctx->profiler != nullptr) {
+    xquery::Profiler::FastPathCounters& fp = page->ctx->profiler->fast_path();
+    fp.delta_emitted += s.delta.emitted;
+    fp.delta_index_splices += s.delta.index_splices;
+    fp.delta_bucket_rebuilds_avoided += s.delta.bucket_rebuilds_avoided;
+    fp.http_cache_hits += s.http.cache_hits;
+    fp.http_cache_misses += s.http.cache_misses;
+    fp.http_prefetch_issued += s.http.prefetch_issued;
+    fp.http_prefetch_hits += s.http.prefetch_hits;
+  }
+  FillEventStats(s, &last_event_stats_);
+  last_event_stats_.intern_hits = call.intern_hits;
+  last_event_stats_.http_requests = call.http_requests;
+  last_event_stats_.http_makespan_ms = call.http_makespan_ms;
+  last_event_stats_.http_overlapped_ms = call.http_overlapped_ms;
 }
 
 XqibPlugin::PageContext::MemoEntry XqibPlugin::MakeMemoEntry(
@@ -861,301 +859,7 @@ XqibPlugin::PageContext::MemoEntry XqibPlugin::MakeMemoEntry(
       }
     }
   }
-  // Stamp the delta sequence at fill time: the entry survives delta-skip
-  // probes as long as no later batch dirtied this listener. ⊤-read
-  // listeners record no name list and keep the 0 stamp (never skipped).
-  if (eval_options_.delta_propagation &&
-      page->listener_read_names.count(key) > 0) {
-    entry.delta_fill_seq = page->delta_seq;
-  }
   return entry;
-}
-
-std::function<void()> XqibPlugin::StageListener(
-    std::shared_ptr<PageContext> page, const xml::QName& function,
-    const Event& event) {
-  PageContext* raw = page.get();
-
-  // Arity resolution mirrors InvokeListener. The static context is
-  // immutable for the whole dispatch (the loop thread is parked inside
-  // the staged run), so concurrent lookups are safe.
-  size_t arity = 0;
-  bool resolved = true;
-  if (raw->sctx->FindFunction(function, 2) != nullptr) {
-    arity = 2;
-  } else if (raw->sctx->FindFunction(function, 1) != nullptr) {
-    arity = 1;
-  } else if (raw->sctx->FindFunction(function, 0) == nullptr) {
-    resolved = false;
-  }
-
-  // The attach-time eligibility check used the arity resolution of that
-  // moment; re-verify against today's — a later script may have added an
-  // overload that resolves first and was NOT proved parallel-safe.
-  // Updating listeners take the staged path only with fully analyzed
-  // effects AND fine-grained invalidation on (the ablation switch also
-  // restores serial updating dispatch).
-  const PageContext::ListenerKey lkey{function.token(), arity};
-  const bool pure_safe =
-      resolved && raw->parallel_safe_functions.count(lkey) > 0;
-  const bool updating_safe = resolved && !pure_safe &&
-                             fine_grained_invalidation_ &&
-                             raw->stageable_updating_functions.count(lkey) > 0;
-  if (!pure_safe && !updating_safe) {
-    return [this, page, function, event]() {
-      ++parallel_fallbacks_;
-      InvokeListener(page.get(), function, event);
-    };
-  }
-
-  // Memo probe, shared lock: concurrent staged listeners may probe in
-  // parallel; erasure and insertion happen exclusively at commit time.
-  const bool memoizable =
-      memo_enabled_ && raw->memoizable_functions.count(
-                           PageContext::ListenerKey{function.token(),
-                                                    arity}) > 0;
-  const uint64_t doc_version = raw->window->document()->mutation_version();
-  const PageContext::MemoKey memo_key{function.token(), arity,
-                                      HashEventPayload(event)};
-  bool memo_stale = false;
-  bool memo_stale_name = false;
-  if (memoizable) {
-    std::shared_lock<std::shared_mutex> lk(raw->memo_mu);
-    auto it = raw->memo_cache.find(memo_key);
-    if (it != raw->memo_cache.end()) {
-      bool valid = it->second.doc_version == doc_version;
-      uint64_t fine_survival = 0;
-      uint64_t delta_skip = 0;
-      if (!valid && eval_options_.delta_propagation &&
-          fine_grained_invalidation_ &&
-          DeltaSkipValid(raw, lkey, it->second, doc_version)) {
-        // Read-only delta-skip probe: the dirty-seq state only moves on
-        // the loop thread, which is parked inside the dispatch batch.
-        // (No re-anchor under the shared lock; the serial path refreshes.)
-        valid = true;
-        delta_skip = 1;
-        ++delta_stats_.listeners_skipped;
-      }
-      if (!valid && fine_grained_invalidation_ && it->second.fine_grained) {
-        // Name-granular rescue under the shared lock: the name-version
-        // map only moves on the loop thread, which is parked inside the
-        // dispatch batch. (No doc_version re-anchor here — that would
-        // write under a shared lock; the serial path refreshes.)
-        const xml::Document* doc = raw->window->document();
-        valid = true;
-        for (const auto& [token, version] : it->second.read_versions) {
-          if (doc->name_version(token) != version) {
-            valid = false;
-            break;
-          }
-        }
-        if (valid) {
-          fine_survival = 1;
-          ++memo_stats_.fine_grained_survivals;
-        }
-      }
-      if (valid) {
-        ++memo_stats_.hits;  // relaxed counter: safe off-thread
-        std::string serialized = it->second.serialized;
-        return [this, page, serialized = std::move(serialized), fine_survival,
-                delta_skip]() {
-          last_listener_result_ = serialized;
-          last_event_stats_ = EventStats{};
-          last_event_stats_.memo_hits = 1;
-          last_event_stats_.memo_fine_survivals = fine_survival;
-          last_event_stats_.delta_listeners_skipped = delta_skip;
-          if (delta_skip != 0) {
-            ++page->evaluator->mutable_delta_stats().listeners_skipped;
-          }
-          ++pure_listener_skips_;
-        };
-      }
-      memo_stale = true;  // discard exclusively at commit
-      memo_stale_name =
-          fine_grained_invalidation_ && it->second.fine_grained;
-    }
-  }
-
-  std::shared_ptr<PageContext::WorkerSlot> slot = AcquireWorkerSlot(raw);
-  // Fresh environment/focus per staging: globals may rebind between
-  // events. The page context is read-only for the whole staged run, so
-  // the copy races with nothing.
-  slot->ctx->env() = raw->ctx->env();
-  slot->ctx->set_focus(raw->ctx->focus());
-  slot->alerts.clear();
-  slot->traces.clear();
-  slot->ctx->pul().Clear();
-
-  std::vector<Sequence> args;
-  if (arity >= 1) {
-    args.push_back(
-        Sequence{Item::Node(MaterializeEvent(slot->ctx.get(), event))});
-  }
-  if (arity == 2) {
-    xml::Node* obj = event.current_target != nullptr ? event.current_target
-                                                     : event.target;
-    args.push_back(obj != nullptr ? Sequence{Item::Node(obj)} : Sequence{});
-  }
-
-  // Scatter-gather on the worker: the slot prefetcher issues the
-  // listener's statically known GETs before the body runs, so staged
-  // peers' round trips overlap in the fabric's virtual-time window.
-  net::HttpPrefetcher::Stats prefetch_before;
-  if (slot->prefetcher != nullptr) {
-    prefetch_before = slot->prefetcher->stats();
-    ScatterListenerPrefetch(raw, slot->prefetcher.get(), function, arity);
-  }
-  xquery::Evaluator::EvalStats before = slot->evaluator->stats();
-  Result<Sequence> result =
-      slot->evaluator->CallFunction(function, std::move(args), *slot->ctx);
-  if (slot->prefetcher != nullptr) slot->prefetcher->Drain();
-  if (slot->evaluator->exited()) slot->evaluator->TakeExitValue();
-  const xquery::Evaluator::EvalStats& after = slot->evaluator->stats();
-
-  // Per-listener delta of the slot evaluator's counters — merged into
-  // the page evaluator at commit so cumulative numbers match serial
-  // execution.
-  xquery::Evaluator::EvalStats delta;
-  delta.sorts_elided = after.sorts_elided - before.sorts_elided;
-  delta.sorts_performed = after.sorts_performed - before.sorts_performed;
-  delta.name_index_hits = after.name_index_hits - before.name_index_hits;
-  delta.early_exits = after.early_exits - before.early_exits;
-  delta.count_index_hits = after.count_index_hits - before.count_index_hits;
-  delta.streams.items_pulled =
-      after.streams.items_pulled - before.streams.items_pulled;
-  delta.streams.items_materialized =
-      after.streams.items_materialized - before.streams.items_materialized;
-  delta.streams.buffers_avoided =
-      after.streams.buffers_avoided - before.streams.buffers_avoided;
-  delta.arena_bytes_used = after.arena_bytes_used - before.arena_bytes_used;
-  delta.plan_hits = after.plan_hits - before.plan_hits;
-  delta.plan_misses = after.plan_misses - before.plan_misses;
-  delta.plan_compiles = after.plan_compiles - before.plan_compiles;
-  delta.plan_invalidations =
-      after.plan_invalidations - before.plan_invalidations;
-  delta.plan_bytes = after.plan_bytes - before.plan_bytes;
-  // Slot-exact federation counters. Fabric-shared numbers (requests,
-  // cache traffic, makespan) stay 0 per staged dispatch, like
-  // intern_hits: concurrently staged peers share the fabric, so a
-  // per-slot window cannot be exact — the fabric's own totals are.
-  delta.http.scatter_batches =
-      after.http.scatter_batches - before.http.scatter_batches;
-  if (slot->prefetcher != nullptr) {
-    const net::HttpPrefetcher::Stats& pf = slot->prefetcher->stats();
-    delta.http.prefetch_issued = pf.issued - prefetch_before.issued;
-    delta.http.prefetch_hits = pf.hits - prefetch_before.hits;
-  }
-
-  // A pure listener must come back with an empty PUL (anything else
-  // means the analyzer's proof was wrong — fall back to serial); an
-  // updating listener's PUL is the point, and transfers at commit.
-  const bool clean =
-      result.ok() && (updating_safe || slot->ctx->pul().empty());
-  std::string serialized;
-  if (clean) serialized = xdm::SequenceToString(*result);
-  std::shared_ptr<std::vector<std::unique_ptr<xml::Document>>> docs;
-  std::shared_ptr<std::vector<xquery::PendingUpdateList::Primitive>> pul;
-  if (updating_safe && clean) {
-    // The PUL's content nodes live in the slot's scratch documents:
-    // both transfer to the page context at commit, exactly as behind
-    // completions hand over their results.
-    docs = std::make_shared<std::vector<std::unique_ptr<xml::Document>>>(
-        slot->ctx->TakeScratchDocuments());
-    pul = std::make_shared<std::vector<xquery::PendingUpdateList::Primitive>>(
-        slot->ctx->pul().Take());
-  }
-  // The serialized string is self-contained: reclaim the slot's stream
-  // transients off-thread, keeping the commit cheap.
-  slot->evaluator->ResetDispatchArena(*slot->ctx);
-  slot->ctx->pul().Clear();
-
-  return [this, page, function, event, slot, clean, updating_safe, docs, pul,
-          serialized = std::move(serialized), delta, memoizable, memo_stale,
-          memo_stale_name, memo_key, doc_version]() {
-    if (!clean) {
-      // Worker-side surprise (error, or a PUL that slipped past the
-      // analyzer's proof): discard the staged run and replay serially —
-      // semantics are InvokeListener's by construction.
-      ReleaseWorkerSlot(page.get(), slot);
-      ++parallel_fallbacks_;
-      InvokeListener(page.get(), function, event);
-      return;
-    }
-    page->evaluator->AddStats(delta);
-    last_event_stats_ = EventStats{};
-    last_event_stats_.sorts_elided = delta.sorts_elided;
-    last_event_stats_.sorts_performed = delta.sorts_performed;
-    last_event_stats_.name_index_hits = delta.name_index_hits;
-    last_event_stats_.early_exits = delta.early_exits;
-    last_event_stats_.count_index_hits = delta.count_index_hits;
-    last_event_stats_.items_pulled = delta.streams.items_pulled;
-    last_event_stats_.items_materialized = delta.streams.items_materialized;
-    last_event_stats_.buffers_avoided = delta.streams.buffers_avoided;
-    last_event_stats_.arena_bytes_used = delta.arena_bytes_used;
-    last_event_stats_.arena_resets = 1;
-    last_event_stats_.intern_hits = 0;  // see EventStats comment
-    last_event_stats_.memo_misses = memoizable && !memo_stale ? 1 : 0;
-    last_event_stats_.memo_invalidations = memo_stale ? 1 : 0;
-    last_event_stats_.memo_invalidations_name = memo_stale_name ? 1 : 0;
-    last_event_stats_.memo_invalidations_global =
-        memo_stale && !memo_stale_name ? 1 : 0;
-    last_event_stats_.plan_hits = delta.plan_hits;
-    last_event_stats_.plan_misses = delta.plan_misses;
-    last_event_stats_.plan_compiles = delta.plan_compiles;
-    last_event_stats_.plan_invalidations = delta.plan_invalidations;
-    last_event_stats_.http_prefetch_issued = delta.http.prefetch_issued;
-    last_event_stats_.http_prefetch_hits = delta.http.prefetch_hits;
-    if (page->ctx->profiler != nullptr) {
-      xquery::Profiler::FastPathCounters& fp =
-          page->ctx->profiler->fast_path();
-      fp.http_prefetch_issued += delta.http.prefetch_issued;
-      fp.http_prefetch_hits += delta.http.prefetch_hits;
-    }
-    last_listener_result_ = serialized;
-    // Replay buffered host output in registration order.
-    for (std::string& a : slot->alerts) alerts_.push_back(std::move(a));
-    if (page->ctx->trace_sink != nullptr) {
-      for (const std::string& t : slot->traces) page->ctx->trace_sink(t);
-    }
-    if (updating_safe) {
-      // Adopt the worker's scratch documents (they own the PUL's
-      // content trees), transfer the primitives, and apply — exactly
-      // where the updates would have landed had the listener run
-      // serially on the page evaluator.
-      if (docs != nullptr) {
-        for (std::unique_ptr<xml::Document>& doc : *docs) {
-          page->ctx->AdoptDocument(std::move(doc));
-        }
-      }
-      if (pul != nullptr) {
-        for (auto& p : *pul) page->ctx->pul().Add(std::move(p));
-      }
-      Status st = ApplyAfterRun(page.get());
-      if (!st.ok()) last_script_error_ = st;
-      ReleaseWorkerSlot(page.get(), slot);
-      return;
-    }
-    // Parallel-safe implies pure: nothing to apply, nothing to render.
-    ++pure_listener_skips_;
-    if (memoizable) {
-      PageContext::MemoEntry entry = MakeMemoEntry(
-          page.get(), PageContext::ListenerKey{memo_key.name, memo_key.arity},
-          doc_version, last_listener_result_);
-      std::unique_lock<std::shared_mutex> lk(page->memo_mu);
-      if (memo_stale) {
-        ++memo_stats_.invalidations;
-        if (memo_stale_name) {
-          ++memo_stats_.invalidations_name;
-        } else {
-          ++memo_stats_.invalidations_global;
-        }
-      } else {
-        ++memo_stats_.misses;
-      }
-      page->memo_cache[memo_key] = std::move(entry);
-    }
-    ReleaseWorkerSlot(page.get(), slot);
-  };
 }
 
 std::shared_ptr<XqibPlugin::PageContext::WorkerSlot>
@@ -1222,8 +926,28 @@ XqibPlugin::AcquireWorkerSlot(PageContext* page) {
   return slot;
 }
 
+void XqibPlugin::HandOverSlotOutput(PageContext* page,
+                                    PageContext::WorkerSlot* slot,
+                                    bool updates) {
+  for (std::string& a : slot->alerts) alerts_.push_back(std::move(a));
+  if (page->ctx->trace_sink != nullptr) {
+    for (const std::string& t : slot->traces) page->ctx->trace_sink(t);
+  }
+  if (!updates) return;
+  for (std::unique_ptr<xml::Document>& doc :
+       slot->ctx->TakeScratchDocuments()) {
+    page->ctx->AdoptDocument(std::move(doc));
+  }
+  for (auto& p : slot->ctx->pul().Take()) page->ctx->pul().Add(std::move(p));
+}
+
 void XqibPlugin::ReleaseWorkerSlot(
     PageContext* page, std::shared_ptr<PageContext::WorkerSlot> slot) {
+  // Whatever a run left behind (a discarded staging's output) must not
+  // reach the slot's next user.
+  slot->alerts.clear();
+  slot->traces.clear();
+  slot->ctx->pul().Clear();
   std::lock_guard<std::mutex> lk(page->slots_mu);
   page->free_slots.push_back(std::move(slot));
 }
@@ -1268,24 +992,18 @@ void XqibPlugin::set_eval_options(
   eval_options_ = options;
   for (auto& [window, page] : pages_) {
     if (page->evaluator != nullptr) page->evaluator->set_options(options);
-    // Delta tracking follows the ablation switch. Any toggle (either
-    // direction) invalidates the page's accumulated dirty-seq state —
-    // mutations that happened untracked were never classified — so mark
-    // everything dirty and disarm skips until the next sync.
-    page->window->document()->set_delta_tracking(options.delta_propagation);
-    page->delta_synced_version = 0;
-    page->dirty_seq.clear();
-    page->all_dirty_seq = ++page->delta_seq;
   }
+}
+
+const xquery::Evaluator::EvalStats* XqibPlugin::page_eval_stats(
+    const Window* window) const {
+  const PageContext* page = FindPage(window);
+  if (page == nullptr || page->evaluator == nullptr) return nullptr;
+  return &page->evaluator->stats();
 }
 
 Status XqibPlugin::FireEvent(xml::Node* target, Event event) {
   browser_->loop().Post([this, target, event]() mutable {
-    // Classify mutations made since the last sync point (script runs,
-    // direct DOM pokes from the host) before the dispatcher stages any
-    // listener: staged probes read the dirty state as of this moment.
-    PageContext* page = FindPageByDocument(target->document());
-    if (page != nullptr) PropagateDelta(page);
     browser_->events().Dispatch(target, std::move(event));
   });
   PumpEvents();
@@ -1321,14 +1039,10 @@ Status XqibPlugin::AttachListener(const std::string& event_name,
     // read/write sets) get the staged path: the dispatcher may evaluate
     // them on a pool worker and commit on the loop thread, admitting
     // them into concurrent runs by the interference check over the
-    // attached effect summaries. StageListener re-verifies eligibility
+    // attached effect summaries. StageOnWorker re-verifies eligibility
     // at dispatch time.
     size_t arity = 0;
-    if (page->sctx->FindFunction(listener, 2) != nullptr) {
-      arity = 2;
-    } else if (page->sctx->FindFunction(listener, 1) != nullptr) {
-      arity = 1;
-    }
+    ResolveListenerArity(*page->sctx, listener, &arity);
     const PageContext::ListenerKey lkey{listener.token(), arity};
     auto fx = page->listener_effects.find(lkey);
     if (fx != page->listener_effects.end()) l.effects = fx->second;
@@ -1339,7 +1053,7 @@ Status XqibPlugin::AttachListener(const std::string& event_name,
           -> std::function<void()> {
         std::shared_ptr<PageContext> page = weak.lock();
         if (page == nullptr) return nullptr;
-        return StageListener(std::move(page), listener, event);
+        return StageOnWorker(std::move(page), listener, event);
       };
     }
     browser_->events().AddListener(item.node(), event_name, std::move(l));
@@ -1374,8 +1088,6 @@ Status XqibPlugin::TriggerEvent(const std::string& event_name,
     Event event;
     event.type = event_name;
     browser_->loop().Post([this, target, event]() mutable {
-      PageContext* page = FindPageByDocument(target->document());
-      if (page != nullptr) PropagateDelta(page);
       browser_->events().Dispatch(target, std::move(event));
     });
   }
@@ -1459,40 +1171,18 @@ Status XqibPlugin::AttachBehind(const std::string& event_name,
               AcquireWorkerSlot(raw);
           slot->ctx->env() = raw->ctx->env();
           slot->ctx->set_focus(raw->ctx->focus());
-          slot->alerts.clear();
-          slot->traces.clear();
-          slot->ctx->pul().Clear();
           Result<Sequence> result = slot->evaluator->CallFunction(
               call->qname, std::move(eager_args), *slot->ctx);
           if (slot->evaluator->exited()) slot->evaluator->TakeExitValue();
-          // Result nodes live in the slot's scratch documents: move them
-          // out now so slot reuse cannot touch them; the commit hands
-          // them to the page context, which keeps them alive for the
-          // listener (and anything it splices into the DOM is copied by
-          // the update primitives anyway).
-          auto docs =
-              std::make_shared<std::vector<std::unique_ptr<xml::Document>>>(
-                  slot->ctx->TakeScratchDocuments());
-          // Update primitives a not-quite-pure callee produced transfer
-          // to the page PUL at commit — exactly where they would have
-          // accumulated had the call run serially on the page evaluator.
-          auto pul = std::make_shared<
-              std::vector<xquery::PendingUpdateList::Primitive>>(
-              slot->ctx->pul().Take());
           slot->evaluator->ResetDispatchArena(*slot->ctx);
-          return [this, page, invoke_state, result, docs, pul, slot]() {
-            for (std::unique_ptr<xml::Document>& doc : *docs) {
-              page->ctx->AdoptDocument(std::move(doc));
-            }
-            for (std::string& a : slot->alerts) {
-              alerts_.push_back(std::move(a));
-            }
-            if (page->ctx->trace_sink != nullptr) {
-              for (const std::string& t : slot->traces) {
-                page->ctx->trace_sink(t);
-              }
-            }
-            for (auto& p : *pul) page->ctx->pul().Add(std::move(p));
+          return [this, page, invoke_state, result, slot]() {
+            // Result nodes live in the slot's scratch documents, which
+            // the page context adopts and keeps alive for the listener
+            // (anything it splices into the DOM is copied by the update
+            // primitives anyway). Update primitives a not-quite-pure
+            // callee produced land in the page PUL — exactly where they
+            // would have accumulated had the call run serially.
+            HandOverSlotOutput(page.get(), slot.get(), /*updates=*/true);
             ReleaseWorkerSlot(page.get(), slot);
             if (!result.ok()) {
               last_script_error_ = result.status();

@@ -140,16 +140,10 @@ class XqibPlugin : public xquery::BrowserBinding {
   void set_memo_enabled(bool enabled) { memo_enabled_ = enabled; }
   bool memo_enabled() const { return memo_enabled_; }
 
-  // Delta propagation (PERFORMANCE.md §8): structured PUL deltas drive
-  // the index splice inside the Document; here they drive skip-dispatch
-  // — a memoized listener whose static read names miss every name the
-  // delta wrote replays its cached result without probing versions at
-  // all. Counted across all pages.
-  struct DeltaStats {
-    base::RelaxedCounter emitted;            // structured PUL deltas
-    base::RelaxedCounter listeners_skipped;  // replays via delta check
-  };
-  const DeltaStats& delta_stats() const { return delta_stats_; }
+  // Structured PUL deltas emitted by apply passes, across all pages
+  // (PERFORMANCE.md §8). The page documents splice their element-name
+  // index buckets from the same deltas.
+  uint64_t deltas_emitted() const { return deltas_emitted_; }
 
   // Ablation switch for name-granular invalidation (PERFORMANCE.md §6).
   // Off restores the pre-effect-analysis behavior exactly: the memo
@@ -208,10 +202,11 @@ class XqibPlugin : public xquery::BrowserBinding {
     base::RelaxedCounter plan_compiles;
     base::RelaxedCounter plan_invalidations;
     // Delta-propagation work for the dispatch: structured PUL deltas
-    // emitted by the apply pass, index splices / avoided rebuilds the
+    // emitted by the apply pass, and index splices / avoided rebuilds the
     // listener's own lookups triggered (staged listeners report 0 here,
-    // like intern_hits: the Document counters are process-shared), and
-    // whether this dispatch was answered by the delta skip check.
+    // like intern_hits: the Document counters are process-shared).
+    // delta_listeners_skipped is always 0; memo validity has one check,
+    // the per-name probe, whose replays count as memo_fine_survivals.
     base::RelaxedCounter delta_emitted;
     base::RelaxedCounter delta_index_splices;
     base::RelaxedCounter delta_bucket_rebuilds_avoided;
@@ -258,6 +253,10 @@ class XqibPlugin : public xquery::BrowserBinding {
   const xquery::Evaluator::EvalOptions& eval_options() const {
     return eval_options_;
   }
+  // Cumulative counters of the evaluator serving `window`'s page, staged
+  // runs included (merged at commit). Null when no page is loaded there.
+  const xquery::Evaluator::EvalStats* page_eval_stats(
+      const browser::Window* window) const;
 
   // --- BrowserBinding (grammar extensions §4.3-4.5) ---
   Status AttachListener(const std::string& event_name,
@@ -294,14 +293,9 @@ class XqibPlugin : public xquery::BrowserBinding {
     std::unique_ptr<xquery::Evaluator> evaluator;
     std::unique_ptr<xquery::DynamicContext> ctx;
     std::vector<browser::Browser::BomTree> bom_trees;
-    // Declared functions ("Clark#arity") the analyzer proved DOM-pure;
-    // listener calls resolving to one of these skip the apply pass.
-    std::unordered_set<std::string> pure_functions;
-    // The memoizable subset: pure AND free of observable host calls
-    // (alert/prompt/confirm, fn:trace). Only these may be replayed from
-    // the memo cache instead of re-evaluated. Keyed on the interned
-    // name + arity so the per-dispatch eligibility check allocates
-    // nothing (no Clark-string rebuild on the memo-hit fast path).
+    // Declared functions keyed on the interned name + arity, so the
+    // per-dispatch eligibility checks allocate nothing (no Clark-string
+    // rebuild).
     struct ListenerKey {
       const xml::InternedName* name = nullptr;
       size_t arity = 0;
@@ -314,6 +308,12 @@ class XqibPlugin : public xquery::BrowserBinding {
         return std::hash<const void*>()(k.name) * 1315423911u + k.arity;
       }
     };
+    // Functions the analyzer proved DOM-pure; listener calls resolving
+    // to one of these skip the apply pass.
+    std::unordered_set<ListenerKey, ListenerKeyHash> pure_functions;
+    // The memoizable subset: pure AND free of observable host calls
+    // (alert/prompt/confirm, fn:trace). Only these may be replayed from
+    // the memo cache instead of re-evaluated.
     std::unordered_set<ListenerKey, ListenerKeyHash> memoizable_functions;
     // The parallel-safe superset: pure AND free of *interactive* host
     // calls (prompt/confirm block on the user; alert and fn:trace only
@@ -359,10 +359,10 @@ class XqibPlugin : public xquery::BrowserBinding {
     // Mutation-versioned memo cache for pure listeners. Keyed on the
     // interned listener name (pointer identity), arity, and a hash of
     // the full event payload (including target node identities). An
-    // entry is valid only while the page document's mutation version
-    // matches — any insert/delete/rename/replace bumps the version and
-    // strands the entry, which is discarded (counted as invalidation)
-    // on next lookup.
+    // entry is valid while the page document's mutation version matches,
+    // or, once the version moved, while the per-name counters of every
+    // name the listener reads still match (ProbeMemo). A stale entry is
+    // discarded (counted as invalidation) at the commit of its next call.
     struct MemoKey {
       const xml::InternedName* name = nullptr;
       size_t arity = 0;
@@ -391,35 +391,12 @@ class XqibPlugin : public xquery::BrowserBinding {
       bool fine_grained = false;
       std::vector<std::pair<const xml::InternedName*, uint64_t>>
           read_versions;
-      // Delta-skip validity (PERFORMANCE.md §8): the page's delta_seq at
-      // fill time. The entry is exact iff the listener was not dirtied
-      // by any delta batch after this sequence number. 0 = the listener's
-      // read set was not fully named (⊤ reads) — never delta-skipped.
-      uint64_t delta_fill_seq = 0;
     };
     // Guarded by memo_mu: staged listeners probe concurrently from pool
     // workers (shared lock); inserts and invalidations run exclusively
     // on the loop thread's commit slot.
     std::unordered_map<MemoKey, MemoEntry, MemoKeyHash> memo_cache;
     mutable std::shared_mutex memo_mu;
-
-    // --- Delta-skip dispatch state (PERFORMANCE.md §8) ----------------
-    // Batches of document mutations are drained from the Document's
-    // dispatch delta window at every sync point (PropagateDelta); each
-    // non-empty batch bumps delta_seq and marks every listener whose
-    // read names intersect the batch's write names dirty at that
-    // sequence. A memo entry filled at delta_fill_seq is provably exact
-    // while max(all_dirty_seq, dirty_seq[listener]) <= delta_fill_seq
-    // AND delta_synced_version still matches the document — the second
-    // check catches mutations that happened after the last sync point
-    // (the skip path then disables itself; the PR 6 per-name probe is
-    // the always-sound fallback). Written on the loop thread; workers
-    // read while the loop thread is barriered (same discipline as the
-    // name-version map).
-    uint64_t delta_seq = 1;
-    uint64_t all_dirty_seq = 0;  // ⊤ batch: every listener dirty
-    std::unordered_map<ListenerKey, uint64_t, ListenerKeyHash> dirty_seq;
-    uint64_t delta_synced_version = 0;
 
     // One worker slot per concurrently staged listener: a private
     // DynamicContext + Evaluator (own arena, own stats, own scratch
@@ -435,6 +412,7 @@ class XqibPlugin : public xquery::BrowserBinding {
       std::unique_ptr<net::HttpPrefetcher> prefetcher;
       std::vector<std::string> alerts;  // buffered browser:alert output
       std::vector<std::string> traces;  // buffered fn:trace output
+      std::string result;  // serialized result, handed over at commit
     };
     // shared_ptr because the staged commit closure (a copyable
     // std::function) carries the slot from the worker to the loop thread.
@@ -443,9 +421,8 @@ class XqibPlugin : public xquery::BrowserBinding {
   };
 
   std::shared_ptr<PageContext> FindPageShared(const browser::Window* window);
-  PageContext* FindPage(const browser::Window* window);
+  PageContext* FindPage(const browser::Window* window) const;
   PageContext* FindPageByContext(const xquery::DynamicContext& ctx);
-  PageContext* FindPageByDocument(const xml::Document* doc);
 
   void RegisterBrowserFunctions(PageContext* page);
   // Installs an already-parsed (and analyzed) script module: optimizes
@@ -457,10 +434,73 @@ class XqibPlugin : public xquery::BrowserBinding {
   Status RegisterXQueryInlineHandler(PageContext* page,
                                      const browser::InlineHandler& handler);
 
-  // Calls an XQuery listener function with ($evt, $obj), applying the
-  // PUL and syncing the BOM afterwards.
+  // --- The listener pipeline ---------------------------------------
+  // Every listener call (§4.3.1, `($evt, $obj)`) takes the same four
+  // steps: resolve the arity, probe the memo, run the body, commit. The
+  // serial executor (InvokeListener) runs all four inline on the loop
+  // thread against the page evaluator. The staged executor
+  // (StageOnWorker) runs the first three on a pool worker against a
+  // worker slot and returns the commit as a closure that the dispatcher
+  // calls on the loop thread in registration order.
+
+  // What the memo probe found for one call.
+  enum class MemoProbe : uint8_t {
+    kNone,         // not memoizable: never probed
+    kMiss,         // no entry
+    kHit,          // entry recorded at the current document version
+    kFineHit,      // version moved, but no recorded read name did
+    kStaleGlobal,  // version moved and the entry names no reads
+    kStaleName,    // a recorded read name moved
+  };
+  // One listener call between its run and its commit.
+  struct ListenerCall {
+    // Listener name and resolved arity; the payload hash is filled for
+    // memoizable listeners only.
+    PageContext::MemoKey key;
+    // Staged updating listener: its PUL transfers to the page at commit.
+    bool updating = false;
+    MemoProbe memo = MemoProbe::kNone;
+    uint64_t doc_version = 0;  // the version the probe validated against
+    Status status;             // the body's error, if any
+    // Counters the run moved: the evaluator's own, plus the delta/http
+    // blocks the host diffs (prefetches; cache traffic and index splices
+    // on the serial executor only).
+    xquery::Evaluator::EvalStats stats;
+    // Process-shared counters. Concurrently staged peers would land in
+    // a staged run's window, so only the serial executor diffs them.
+    uint64_t intern_hits = 0;
+    uint64_t http_requests = 0;
+    double http_makespan_ms = 0;
+    double http_overlapped_ms = 0;
+  };
+
+  // The serial executor. Reports BRWS0004 when no arity resolves.
   void InvokeListener(PageContext* page, const xml::QName& function,
                       const browser::Event& event);
+  // The staged executor: evaluates on a pool worker against the DOM
+  // snapshot (the loop thread is parked inside the dispatch batch, so
+  // the snapshot cannot move). A listener that is not stageable under
+  // today's arity resolution, or a worker-side surprise (error,
+  // non-empty PUL from a pure listener, interactive call), yields a
+  // commit that re-runs it through InvokeListener.
+  std::function<void()> StageOnWorker(std::shared_ptr<PageContext> page,
+                                      const xml::QName& function,
+                                      const browser::Event& event);
+  // Steps 2-3: probe the memo and, on a miss, run the body on `slot`'s
+  // evaluator (staged) or the page evaluator (slot == nullptr). The
+  // result goes to slot->result or straight to last_listener_result_.
+  void RunListener(PageContext* page, PageContext::WorkerSlot* slot,
+                   const xml::QName& function, const browser::Event& event,
+                   ListenerCall* call);
+  // Read-only memo validity check, safe from pool workers. On a hit the
+  // cached result is copied to `*cached`.
+  MemoProbe ProbeMemo(const PageContext& page,
+                      const PageContext::MemoKey& key, uint64_t doc_version,
+                      std::string* cached) const;
+  // Step 4, on the loop thread: hand the staged output over, then do the
+  // stats fill, the PUL apply and the memo fill or erase.
+  void CommitListener(PageContext* page, PageContext::WorkerSlot* slot,
+                      ListenerCall& call);
   // Builds a memo entry for a clean run of `function`, recording the
   // per-name mutation counters of its read set when fine-grained
   // invalidation is on and the analyzer fully named the reads. Runs on
@@ -471,32 +511,15 @@ class XqibPlugin : public xquery::BrowserBinding {
                                        std::string serialized) const;
   Status ApplyAfterRun(PageContext* page);
 
-  // Drains the page document's dispatch delta window and folds it into
-  // the page's dirty-listener state (delta_seq/dirty_seq). Called at
-  // every dispatch sync point on the loop thread. No-op when delta
-  // propagation is off.
-  void PropagateDelta(PageContext* page);
-  // The skip-dispatch probe: true when `entry` provably cannot have
-  // been dirtied by any delta batch since it was filled. Read-only —
-  // safe from pool workers while the loop thread is barriered.
-  static bool DeltaSkipValid(const PageContext* page,
-                             const PageContext::ListenerKey& key,
-                             const PageContext::MemoEntry& entry,
-                             uint64_t doc_version);
-
-  // The parallel path of InvokeListener: runs on a pool worker against
-  // the DOM snapshot (the loop thread is barriered inside the dispatch
-  // batch, so the snapshot cannot move) and returns the commit closure
-  // the dispatcher runs on the loop thread in registration order. Any
-  // worker-side surprise (error, non-empty PUL, interactive call) makes
-  // the commit fall back to a serial InvokeListener re-run — semantics
-  // are InvokeListener's by construction.
-  std::function<void()> StageListener(std::shared_ptr<PageContext> page,
-                                      const xml::QName& function,
-                                      const browser::Event& event);
+  // Moves a worker slot's output into the page where a serial run would
+  // have put it: buffered host output in registration order and, when
+  // `updates`, the PUL plus the scratch documents that own its content
+  // trees. Loop thread.
+  void HandOverSlotOutput(PageContext* page, PageContext::WorkerSlot* slot,
+                          bool updates);
   // Worker-slot pool management (PageContext::free_slots). Acquire may
   // run on a pool worker (slot creation is self-contained); Release runs
-  // wherever the commit closure is destroyed.
+  // wherever the commit or the discarded staging ends.
   std::shared_ptr<PageContext::WorkerSlot> AcquireWorkerSlot(
       PageContext* page);
   void ReleaseWorkerSlot(PageContext* page,
@@ -541,7 +564,7 @@ class XqibPlugin : public xquery::BrowserBinding {
   bool memo_enabled_ = true;
   bool fine_grained_invalidation_ = true;
   MemoStats memo_stats_;
-  DeltaStats delta_stats_;
+  uint64_t deltas_emitted_ = 0;
   std::string last_listener_result_;
   EventStats last_event_stats_;
   xquery::Evaluator::EvalOptions eval_options_;

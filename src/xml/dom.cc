@@ -663,17 +663,10 @@ void Document::set_delta_tracking(bool on) {
   if (on == delta_tracking_) return;
   delta_tracking_ = on;
   // Mutations made under the previous mode were not (or were partially)
-  // recorded; poison both windows so consumers fall back to one full
-  // rebuild / full dispatch pass before incremental deltas are trusted.
+  // recorded; poison the window so the index falls back to one full
+  // rebuild before incremental deltas are trusted.
   pending_index_delta_.Clear();
   pending_index_delta_.whole_tree = true;
-  pending_dispatch_delta_.Clear();
-  pending_dispatch_delta_.whole_tree = true;
-}
-
-void Document::TakeDispatchDelta(DomDelta* out) {
-  *out = std::move(pending_dispatch_delta_);
-  pending_dispatch_delta_.Clear();
 }
 
 void Document::set_fine_grained_versions(bool on) {
@@ -697,20 +690,14 @@ bool Document::AttachedToRoot(const Node* n) const {
 
 void Document::TouchName(const InternedName* token) {
   if (fine_grained_) ++name_versions_[token];
-  if (delta_tracking_) {
-    pending_index_delta_.Touch(token);
-    pending_dispatch_delta_.Touch(token);
-  }
+  if (delta_tracking_) pending_index_delta_.Touch(token);
   if (capture_ != nullptr) capture_->Touch(token);
 }
 
 void Document::RecordElementOp(const Node* node, const InternedName* token,
                                bool inserted) {
   Node* n = const_cast<Node*>(node);
-  if (delta_tracking_) {
-    pending_index_delta_.ElementOp(n, token, inserted);
-    pending_dispatch_delta_.ElementOp(n, token, inserted);
-  }
+  if (delta_tracking_) pending_index_delta_.ElementOp(n, token, inserted);
   if (capture_ != nullptr) capture_->ElementOp(n, token, inserted);
 }
 
@@ -755,10 +742,7 @@ void Document::RecordRenameOps(const Node* node, const InternedName* old_token) 
 }
 
 void Document::CountDeltaMutation() {
-  if (delta_tracking_) {
-    pending_index_delta_.CountMutation();
-    pending_dispatch_delta_.CountMutation();
-  }
+  if (delta_tracking_) pending_index_delta_.CountMutation();
   if (capture_ != nullptr) capture_->CountMutation();
 }
 

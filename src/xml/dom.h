@@ -135,11 +135,10 @@ class Node {
 
 // A structured description of the attached-tree mutations accumulated
 // between two sync points (PERFORMANCE.md §8). The update layer emits
-// one per PUL application; the Document keeps two rolling windows of its
-// own (one consumed by the element-name index splice, one by the
-// plug-in's dispatch skip), all fed by the same recording walk that
-// maintains the per-name mutation counters — the counters are a derived
-// view of this delta.
+// one per PUL application; the Document keeps a rolling window of its
+// own for the element-name index splice, fed by the same recording walk
+// that maintains the per-name mutation counters — the counters are a
+// derived view of this delta.
 struct DomDelta {
   // Details stop being recorded past this many touched names / ops in
   // one window; the delta degrades to whole_tree (conservative).
@@ -154,8 +153,6 @@ struct DomDelta {
   // Every name whose per-name mutation counter bumped in the window:
   // each mutation's ancestor-chain element/attribute names plus the
   // names inside attached/detached subtrees (value edits included).
-  // This is the write-name set dispatch intersects listener read sets
-  // against.
   std::unordered_set<const InternedName*> touched;
   // Conservative escape hatch: recording was off for part of the window
   // or the window overflowed kTrackingCap. Consumers must treat every
@@ -269,16 +266,14 @@ class Document {
   // --- Delta propagation (PERFORMANCE.md §8) --------------------------
   //
   // When enabled, the same recording walk that bumps the per-name
-  // counters also appends structured membership/touch ops to two rolling
-  // DomDelta windows: one consumed by ElementsByName (bucket splicing
-  // instead of full rebuilds), one drained by the plug-in's dispatch
-  // loop (listener skip). Recording is loop-thread-only and gated on
-  // AttachedToRoot, exactly like the counters.
+  // counters also appends structured membership/touch ops to a rolling
+  // DomDelta window that ElementsByName consumes (bucket splicing
+  // instead of full rebuilds). Recording is loop-thread-only and gated
+  // on AttachedToRoot, exactly like the counters. Page documents always
+  // track; an untracked document rebuilds, the reference the splice is
+  // tested against.
   void set_delta_tracking(bool on);
   bool delta_tracking() const { return delta_tracking_; }
-  // Moves the accumulated dispatch-window delta into `out` and resets
-  // the window. Loop-thread-only (the window is written by mutations).
-  void TakeDispatchDelta(DomDelta* out);
   // Brackets a PUL application: every recorded op is additionally
   // mirrored into `sink` (regardless of the tracking toggles), so the
   // update layer can emit the structured delta of one apply pass.
@@ -378,13 +373,12 @@ class Document {
   mutable bool index_names_snapshot_ = false;
   mutable base::RelaxedCounter name_index_fine_hits_;
 
-  // Delta-propagation state (see the public accessors). The two rolling
-  // windows and the capture sink are written only from mutation paths
+  // Delta-propagation state (see the public accessors). The rolling
+  // window and the capture sink are written only from mutation paths
   // (loop thread); pending_index_delta_ is additionally consumed under
   // lazy_mu_ by the splice, hence mutable.
   bool delta_tracking_ = false;
   mutable DomDelta pending_index_delta_;
-  DomDelta pending_dispatch_delta_;
   DomDelta* capture_ = nullptr;
   mutable base::RelaxedCounter index_splices_;
   mutable base::RelaxedCounter bucket_rebuilds_avoided_;

@@ -321,7 +321,14 @@ class Parser {
         } else if (LookingAt("<?")) {
           XQ_RETURN_NOT_OK(ParsePI(parent));
         } else if (AtElementStart()) {
+          if (++depth_ > kMaxElementDepth) {
+            return ParseError("elements nested deeper than " +
+                                  std::to_string(kMaxElementDepth) +
+                                  " levels",
+                              pos_);
+          }
           XQ_RETURN_NOT_OK(ParseElement(parent, ns));
+          --depth_;
         } else {
           return ParseError("malformed markup", pos_);
         }
@@ -345,6 +352,7 @@ class Parser {
   std::string_view in_;
   const ParseOptions& options_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open elements below the top level (ParseContent)
 };
 
 }  // namespace

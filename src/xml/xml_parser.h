@@ -28,6 +28,14 @@ struct ParseOptions {
   std::string document_uri;
 };
 
+// Deepest element nesting the parser accepts, counted in elements below
+// the document element (or below the fragment's top level). Parsing
+// recurses once per level, and the page server parses client-supplied
+// XML on shared threads, so deeper input is a FODC0006 error instead of
+// a stack overflow. 512 matches the evaluator's call-depth bound; real
+// XHTML pages nest a few dozen levels.
+inline constexpr int kMaxElementDepth = 512;
+
 // Parses a complete XML document. Errors carry code FODC0006.
 Result<std::unique_ptr<Document>> ParseDocument(std::string_view input,
                                                 const ParseOptions& options);

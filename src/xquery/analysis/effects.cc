@@ -119,15 +119,6 @@ bool Interferes(const Effects& a, const Effects& b) {
          a.writes.Intersects(b.writes);
 }
 
-bool ReadSetIntersectsWrites(
-    const std::vector<const xml::InternedName*>& reads,
-    const std::unordered_set<const xml::InternedName*>& written) {
-  for (const xml::InternedName* r : reads) {
-    if (written.count(r) != 0) return true;
-  }
-  return false;
-}
-
 std::string RenderEffectSet(const EffectSet& set) {
   if (set.top) return "TOP";
   std::vector<std::string> labels;

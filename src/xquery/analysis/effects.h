@@ -35,7 +35,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "xml/interning.h"
@@ -97,15 +96,6 @@ struct Effects {
 // from racing on one name; the value_reads × write_scope clause makes
 // a serialized ancestor conflict with updates anywhere below it.
 bool Interferes(const Effects& a, const Effects& b);
-
-// Whether a listener's recorded read-name list touches any name a
-// DomDelta wrote. This is the dispatch-skip test: a memoized listener
-// whose reads miss every written name cannot observe the mutation and
-// need not re-run. Callers handle the ⊤-read case separately (such
-// listeners record no name list and are never skipped).
-bool ReadSetIntersectsWrites(
-    const std::vector<const xml::InternedName*>& reads,
-    const std::unordered_set<const xml::InternedName*>& written);
 
 // Deterministic rendering (names sorted lexicographically, not by
 // interning order) for `xq_lint --effects` and tests, e.g.

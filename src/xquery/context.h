@@ -257,8 +257,10 @@ class DynamicContext {
   PendingUpdateList& pul() { return *pul_; }
 
   // Per-dispatch arena for stream operators and other evaluation
-  // transients. The host (plugin / engine) calls arena().Reset() after
-  // an evaluation round's XQUF apply pass, when no streams are live.
+  // transients. The host (plugin / engine) calls arena().Reset() once an
+  // evaluation round's result is materialized, when no streams are live
+  // (the PUL holds materialized values, so the reset may precede the
+  // XQUF apply pass).
   xdm::Arena& arena() { return arena_; }
 
   // Optional query profiler (§7 future-work tooling); owned by caller.

@@ -1028,35 +1028,58 @@ void Evaluator::ResetDispatchArena(DynamicContext& ctx) {
   }
 }
 
+namespace {
+
+// Applies `op` to each pair of cumulative counters of `a` and `b`.
+template <typename Op>
+void CombineCounters(Evaluator::EvalStats* a, const Evaluator::EvalStats& b,
+                     Op op) {
+  op(a->sorts_performed, b.sorts_performed);
+  op(a->sorts_elided, b.sorts_elided);
+  op(a->name_index_hits, b.name_index_hits);
+  op(a->early_exits, b.early_exits);
+  op(a->count_index_hits, b.count_index_hits);
+  op(a->streams.items_pulled, b.streams.items_pulled);
+  op(a->streams.items_materialized, b.streams.items_materialized);
+  op(a->streams.buffers_avoided, b.streams.buffers_avoided);
+  op(a->arena_bytes_used, b.arena_bytes_used);
+  op(a->arena_resets, b.arena_resets);
+  op(a->parallel_predicate_chunks, b.parallel_predicate_chunks);
+  op(a->plan_compiles, b.plan_compiles);
+  op(a->plan_hits, b.plan_hits);
+  op(a->plan_misses, b.plan_misses);
+  op(a->plan_invalidations, b.plan_invalidations);
+  op(a->plan_bytes, b.plan_bytes);
+  op(a->delta.emitted, b.delta.emitted);
+  op(a->delta.index_splices, b.delta.index_splices);
+  op(a->delta.bucket_rebuilds_avoided, b.delta.bucket_rebuilds_avoided);
+  op(a->http.cache_hits, b.http.cache_hits);
+  op(a->http.cache_misses, b.http.cache_misses);
+  op(a->http.prefetch_issued, b.http.prefetch_issued);
+  op(a->http.prefetch_hits, b.http.prefetch_hits);
+  op(a->http.scatter_batches, b.http.scatter_batches);
+}
+
+}  // namespace
+
+Evaluator::EvalStats& Evaluator::EvalStats::operator+=(const EvalStats& o) {
+  CombineCounters(this, o, [](base::RelaxedCounter& x,
+                              const base::RelaxedCounter& y) { x += y; });
+  return *this;
+}
+
+Evaluator::EvalStats& Evaluator::EvalStats::operator-=(const EvalStats& o) {
+  // Differences are taken on private snapshots: plain load/store, no
+  // read-modify-write.
+  CombineCounters(this, o, [](base::RelaxedCounter& x,
+                              const base::RelaxedCounter& y) { x = x - y; });
+  return *this;
+}
+
 void Evaluator::AddStats(const EvalStats& delta) {
-  stats_.sorts_performed += delta.sorts_performed;
-  stats_.sorts_elided += delta.sorts_elided;
-  stats_.name_index_hits += delta.name_index_hits;
-  stats_.early_exits += delta.early_exits;
-  stats_.count_index_hits += delta.count_index_hits;
-  stats_.streams.items_pulled += delta.streams.items_pulled;
-  stats_.streams.items_materialized += delta.streams.items_materialized;
-  stats_.streams.buffers_avoided += delta.streams.buffers_avoided;
-  stats_.arena_bytes_used += delta.arena_bytes_used;
-  stats_.arena_resets += delta.arena_resets;
-  stats_.parallel_predicate_chunks += delta.parallel_predicate_chunks;
-  stats_.plan_compiles += delta.plan_compiles;
-  stats_.plan_hits += delta.plan_hits;
-  stats_.plan_misses += delta.plan_misses;
-  stats_.plan_invalidations += delta.plan_invalidations;
-  stats_.plan_bytes += delta.plan_bytes;
-  stats_.delta.emitted += delta.delta.emitted;
-  stats_.delta.index_splices += delta.delta.index_splices;
-  stats_.delta.bucket_rebuilds_avoided += delta.delta.bucket_rebuilds_avoided;
-  stats_.delta.listeners_skipped += delta.delta.listeners_skipped;
-  stats_.http.cache_hits += delta.http.cache_hits;
-  stats_.http.cache_misses += delta.http.cache_misses;
-  stats_.http.prefetch_issued += delta.http.prefetch_issued;
-  stats_.http.prefetch_hits += delta.http.prefetch_hits;
-  stats_.http.scatter_batches += delta.http.scatter_batches;
+  stats_ += delta;
   // intern_hits is a snapshot of the process-wide pool (see
-  // ResetDispatchArena), not a cumulative counter: refresh it rather
-  // than add the delta.
+  // ResetDispatchArena): refresh it rather than add the delta.
   stats_.intern_hits = xml::GetInternStats().hits;
 }
 

@@ -37,8 +37,12 @@ class Evaluator {
  public:
   explicit Evaluator(const StaticContext& sctx) : sctx_(sctx) {}
 
-  // Runtime toggles for the path fast paths. All on by default; the
-  // benchmark ablations flip them off to measure each axis in isolation.
+  // Runtime toggles for the path fast paths: eight switches plus the
+  // parallel cutoff. All on by default; the benchmark ablations flip
+  // them off to measure each axis in isolation. Delta propagation is not
+  // a switch: page documents always track deltas, so the element-name
+  // index splices touched buckets, and memo validity has one
+  // name-granular check (XqibPlugin's per-name probe).
   struct EvalOptions {
     // Skip SortDocumentOrderDedup for steps the optimizer annotated
     // order-preserving + duplicate-free.
@@ -75,13 +79,6 @@ class Evaluator {
     // traversal. Off: every call tree-walks — the oracle the plan
     // ablation tests compare against.
     bool compiled_plans = true;
-    // Propagate structured DOM deltas through the mutation pipeline:
-    // PUL applications emit per-name membership deltas, the element-name
-    // index splices touched buckets instead of rebuilding them, and
-    // dispatch skips memoized listeners whose static read sets are
-    // disjoint from the delta's write names without re-running them.
-    // Off: the PR 6 survive-or-recompute path — the ablation oracle.
-    bool delta_propagation = true;
     // Scatter-gather over remote sources: FLWOR bodies whose http:get
     // URLs are statically expressible (literals, or templates over the
     // loop variable) and provably free of reachable fabric writes issue
@@ -133,15 +130,12 @@ class Evaluator {
     base::RelaxedCounter plan_invalidations;
     base::RelaxedCounter plan_bytes;
     // Delta-propagation counters: structured deltas emitted by PUL
-    // applications, per-bucket index splice operations, full index
-    // rebuilds avoided by splicing, and memoized listeners skipped
-    // without evaluation because their read sets missed the delta's
-    // write names.
+    // applications, per-bucket index splice operations, and full index
+    // rebuilds avoided by splicing.
     struct DeltaStats {
       base::RelaxedCounter emitted;
       base::RelaxedCounter index_splices;
       base::RelaxedCounter bucket_rebuilds_avoided;
-      base::RelaxedCounter listeners_skipped;
     };
     DeltaStats delta;
     // Async-federation counters: response-cache traffic (diffed from the
@@ -156,6 +150,12 @@ class Evaluator {
       base::RelaxedCounter scatter_batches;
     };
     HttpStats http;
+
+    // Counter-wise sum / difference over every cumulative counter;
+    // -= is for before/after windows over a private snapshot copy.
+    // intern_hits is a pool snapshot, not a count, and is left alone.
+    EvalStats& operator+=(const EvalStats& other);
+    EvalStats& operator-=(const EvalStats& other);
   };
   const EvalStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EvalStats{}; }
@@ -163,12 +163,10 @@ class Evaluator {
   // scheduler merges each worker slot's per-listener delta back into the
   // page evaluator so cumulative numbers match serial execution.
   void AddStats(const EvalStats& delta);
-  // Direct access to the delta-propagation block: the plugin's dispatch
-  // fast paths bump one or two of these per skipped listener, where a
-  // full-struct AddStats merge would dominate the skip itself.
+  // Direct access to the blocks the plugin diffs around each dispatch
+  // (document index work, fabric and prefetcher traffic) and folds in
+  // here; the evaluator never counts them itself.
   EvalStats::DeltaStats& mutable_delta_stats() { return stats_.delta; }
-  // Same idiom for the federation block: the plugin diffs fabric /
-  // prefetcher counters around each dispatch and folds the delta here.
   EvalStats::HttpStats& mutable_http_stats() { return stats_.http; }
 
   // Evaluates an expression. Updating sub-expressions append to

@@ -155,13 +155,11 @@ std::string Profiler::Report(size_t limit) const {
   out += line;
   std::snprintf(
       line, sizeof(line),
-      "  delta: %llu emitted, %llu index splices, %llu rebuilds avoided, "
-      "%llu listeners skipped\n",
+      "  delta: %llu emitted, %llu index splices, %llu rebuilds avoided\n",
       static_cast<unsigned long long>(fast_path_.delta_emitted),
       static_cast<unsigned long long>(fast_path_.delta_index_splices),
       static_cast<unsigned long long>(
-          fast_path_.delta_bucket_rebuilds_avoided),
-      static_cast<unsigned long long>(fast_path_.delta_listeners_skipped));
+          fast_path_.delta_bucket_rebuilds_avoided));
   out += line;
   std::snprintf(
       line, sizeof(line),

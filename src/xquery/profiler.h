@@ -73,11 +73,10 @@ class Profiler {
     base::RelaxedCounter plan_hits;
     base::RelaxedCounter plan_misses;
     // Delta propagation: structured PUL deltas emitted, per-bucket index
-    // splices, full index rebuilds avoided, listeners skipped unrun.
+    // splices, full index rebuilds avoided.
     base::RelaxedCounter delta_emitted;
     base::RelaxedCounter delta_index_splices;
     base::RelaxedCounter delta_bucket_rebuilds_avoided;
-    base::RelaxedCounter delta_listeners_skipped;
     // Async federation: shared response-cache traffic and scatter-gather
     // prefetches (issued ahead of need / consumed by http:get).
     base::RelaxedCounter http_cache_hits;

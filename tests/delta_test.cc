@@ -1,13 +1,16 @@
 // Tests for delta propagation (PERFORMANCE.md §8): the structured
 // DomDelta emitted by PUL application, name-index bucket splicing in
-// place of full rebuilds, gap-based order keys that survive inserts
-// without wholesale recomputation, and the plug-in dispatch layer's
-// listener skip.
+// place of full rebuilds (checked against untracked rebuilds on
+// generated edit batches), gap-based order keys that survive inserts
+// without wholesale recomputation, and memo replay across disjoint
+// writes in the plug-in's dispatch layer.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "plugin/plugin.h"
 #include "xml/interning.h"
@@ -233,7 +236,159 @@ TEST(IndexSplice, GapKeysKeepDocumentOrderWithoutRebuilds) {
   }
 }
 
-// --------------------------------------------- dispatch skipping ---
+// ------------------------------------------ splice == rebuild oracle ---
+
+// Element names the generated documents and edits draw from.
+constexpr const char* kSpliceNames[] = {"a", "b", "c", "d", "e"};
+
+struct Lcg {
+  uint32_t state;
+  uint32_t Next(uint32_t n) {
+    state = state * 1664525u + 1013904223u;
+    return ((state >> 16) & 0x7fff) % n;
+  }
+};
+
+std::string RandomTree(Lcg& rng, int depth) {
+  const std::string name = kSpliceNames[rng.Next(5)];
+  std::string out = "<" + name + ">";
+  const uint32_t kids = depth > 0 ? rng.Next(4) : 0;
+  for (uint32_t i = 0; i < kids; ++i) out += RandomTree(rng, depth - 1);
+  return out + "</" + name + ">";
+}
+
+// Attached elements in document order, the document element first.
+std::vector<xml::Node*> Elements(xml::Document* doc) {
+  std::vector<xml::Node*> out;
+  std::vector<xml::Node*> stack{doc->DocumentElement()};
+  while (!stack.empty()) {
+    xml::Node* n = stack.back();
+    stack.pop_back();
+    out.push_back(n);
+    const auto& kids = n->children();
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
+      if ((*it)->is_element()) stack.push_back(*it);
+    }
+  }
+  return out;
+}
+
+// A bucket as document-order positions, so the buckets of two
+// documents with the same structure compare directly.
+std::vector<size_t> Positions(const std::vector<xml::Node*>& bucket,
+                              const std::vector<xml::Node*>& order) {
+  std::vector<size_t> out;
+  for (const xml::Node* n : bucket) {
+    size_t i = 0;
+    while (i < order.size() && order[i] != n) ++i;
+    out.push_back(i);  // order.size() = not attached: a stale entry
+  }
+  return out;
+}
+
+// One random edit, drawn once and applied at the same document-order
+// positions of every copy.
+struct Edit {
+  uint32_t op = 0;  // insert, delete, rename, replace, move
+  size_t target = 0;
+  size_t dest = 0;
+  size_t slot = 0;
+  const char* name = "";
+};
+
+void ApplyEdit(const Edit& e, xml::Document* doc) {
+  const std::vector<xml::Node*> els = Elements(doc);
+  xml::Node* target = els[e.target % els.size()];
+  const bool is_root = target == els[0];
+  auto insert_at = [](xml::Node* parent, xml::Node* child, size_t slot) {
+    const auto& kids = parent->children();
+    parent->InsertBefore(child,
+                         kids.empty() ? nullptr : kids[slot % kids.size()]);
+  };
+  switch (e.op) {
+    case 0:
+      insert_at(target, doc->CreateElement(xml::QName(e.name)), e.slot);
+      break;
+    case 1:
+      if (!is_root) target->Detach();
+      break;
+    case 2:
+      target->Rename(xml::QName(e.name));
+      break;
+    case 3:
+      if (!is_root) {
+        // A two-element subtree takes the target's place.
+        xml::Node* n = doc->CreateElement(xml::QName(e.name));
+        n->AppendChild(doc->CreateElement(xml::QName(kSpliceNames[e.slot % 5])));
+        target->parent()->InsertBefore(n, target);
+        target->Detach();
+      }
+      break;
+    default: {
+      xml::Node* dest = els[e.dest % els.size()];
+      for (const xml::Node* a = dest; a != nullptr; a = a->parent()) {
+        if (a == target) return;  // a subtree cannot move into itself
+      }
+      if (is_root) return;
+      target->Detach();
+      insert_at(dest, target, e.slot);
+    }
+  }
+}
+
+// Random insert/delete/rename/replace/move batches against a document
+// that tracks deltas (the page configuration: every lookup after a
+// batch splices) and an untracked copy that rebuilds the whole index on
+// every lookup. After each checked batch, every name's bucket must be
+// the same nodes in the same order. Some batches skip the check, so a
+// splice also consumes several batches' ops at once.
+TEST(IndexSplice, GeneratedEditsSpliceExactlyWhatARebuildFinds) {
+  for (uint32_t seed : {1u, 7u, 42u, 1234u, 99991u}) {
+    Lcg rng{seed};
+    const std::string source = "<r>" + RandomTree(rng, 4) +
+                               RandomTree(rng, 4) + RandomTree(rng, 3) +
+                               "</r>";
+    auto tracked = std::move(xml::ParseDocument(source)).value();
+    auto rebuilt = std::move(xml::ParseDocument(source)).value();
+    tracked->set_fine_grained_versions(true);
+    tracked->set_delta_tracking(true);
+    for (const char* name : kSpliceNames) {
+      (void)tracked->ElementsByName(xml::QName(name));  // first full build
+    }
+    for (int batch = 0; batch < 40; ++batch) {
+      const uint32_t edits = 1 + rng.Next(5);
+      for (uint32_t i = 0; i < edits; ++i) {
+        Edit e;
+        e.op = rng.Next(5);
+        e.target = rng.Next(1000);
+        e.dest = rng.Next(1000);
+        e.slot = rng.Next(8);
+        e.name = kSpliceNames[rng.Next(5)];
+        ApplyEdit(e, tracked.get());
+        ApplyEdit(e, rebuilt.get());
+      }
+      if (rng.Next(3) == 0 && batch != 39) continue;
+      const std::vector<xml::Node*> tracked_order = Elements(tracked.get());
+      const std::vector<xml::Node*> rebuilt_order = Elements(rebuilt.get());
+      ASSERT_EQ(tracked_order.size(), rebuilt_order.size());
+      for (const char* name : kSpliceNames) {
+        EXPECT_EQ(
+            Positions(tracked->ElementsByName(xml::QName(name)),
+                      tracked_order),
+            Positions(rebuilt->ElementsByName(xml::QName(name)),
+                      rebuilt_order))
+            << "seed " << seed << " batch " << batch << " name " << name;
+      }
+    }
+    EXPECT_EQ(xml::Serialize(tracked->root()), xml::Serialize(rebuilt->root()))
+        << "seed " << seed;
+    EXPECT_GT(tracked->bucket_rebuilds_avoided(), 0u) << "seed " << seed;
+    EXPECT_LT(tracked->name_index_builds(), rebuilt->name_index_builds())
+        << "seed " << seed;
+  }
+}
+
+// ------------------------------------------ memo replay under churn ---
 
 class DeltaDispatchTest : public ::testing::Test {
  protected:
@@ -279,66 +434,35 @@ on event "onclick" at //input[@id="mut"] attach listener local:mut
   plugin::XqibPlugin plugin_;
 };
 
-TEST_F(DeltaDispatchTest, DisjointWriteSkipsListenerWithoutEvaluation) {
+TEST_F(DeltaDispatchTest, DisjointWriteReplaysThroughThePerNameProbe) {
   Window* w = LoadPeekAndMutate("insert node <note/> into //aside");
   xml::Node* peek = w->document()->GetElementById("peek");
   xml::Node* mut = w->document()->GetElementById("mut");
   ASSERT_NE(peek, nullptr);
   ASSERT_NE(mut, nullptr);
 
-  Click(peek);  // miss: fills the memo entry, stamps the delta seq
+  Click(peek);  // miss: fills the memo entry with peek's read names
   EXPECT_EQ(plugin_.last_listener_result(), "2");
   Click(mut);  // writes note/aside — disjoint from peek's read set
   ASSERT_TRUE(plugin_.last_script_error().ok())
       << plugin_.last_script_error().ToString();
   EXPECT_EQ(plugin_.last_event_stats().delta_emitted, 1u);
-  EXPECT_GE(plugin_.delta_stats().emitted, 1u);
+  EXPECT_GE(plugin_.deltas_emitted(), 1u);
 
-  Click(peek);  // delta skip: replay with ZERO evaluation
+  Click(peek);  // per-name survival: replay with ZERO evaluation
   EXPECT_EQ(plugin_.last_listener_result(), "2");
-  EXPECT_EQ(plugin_.last_event_stats().memo_hits, 1u);
-  EXPECT_EQ(plugin_.last_event_stats().delta_listeners_skipped, 1u);
-  EXPECT_EQ(plugin_.delta_stats().listeners_skipped, 1u);
-  // The skip happened BEFORE the per-name probes: no fine survival.
-  EXPECT_EQ(plugin_.memo_stats().fine_grained_survivals, 0u);
-  EXPECT_EQ(plugin_.memo_stats().hits, 1u);
+  const auto& es = plugin_.last_event_stats();
+  EXPECT_EQ(es.memo_hits, 1u);
+  EXPECT_EQ(es.memo_fine_survivals, 1u);
+  EXPECT_EQ(es.delta_listeners_skipped, 0u);
+  EXPECT_EQ(es.items_pulled, 0u);
+  EXPECT_EQ(es.plan_hits + es.plan_misses, 0u);
   EXPECT_EQ(plugin_.memo_stats().invalidations, 0u);
 }
 
-TEST_F(DeltaDispatchTest, IntersectingWriteStillRuns) {
-  Window* w = LoadPeekAndMutate("insert node <li>c</li> into //ul");
-  xml::Node* peek = w->document()->GetElementById("peek");
-  xml::Node* mut = w->document()->GetElementById("mut");
-  Click(peek);
-  Click(mut);  // li is in peek's read set: must NOT be skipped
-  Click(peek);
-  EXPECT_EQ(plugin_.last_listener_result(), "3");
-  EXPECT_EQ(plugin_.last_event_stats().delta_listeners_skipped, 0u);
-  EXPECT_EQ(plugin_.delta_stats().listeners_skipped, 0u);
-  EXPECT_EQ(plugin_.memo_stats().invalidations, 1u);
-}
-
-TEST_F(DeltaDispatchTest, AblationFallsBackToFineGrainedProbes) {
-  // delta_propagation off: the PR 6 per-name counter probe must absorb
-  // the same disjoint mutation (the survive-or-recompute oracle).
-  xquery::Evaluator::EvalOptions opts = plugin_.eval_options();
-  opts.delta_propagation = false;
-  plugin_.set_eval_options(opts);
-  Window* w = LoadPeekAndMutate("insert node <note/> into //aside");
-  xml::Node* peek = w->document()->GetElementById("peek");
-  xml::Node* mut = w->document()->GetElementById("mut");
-  Click(peek);
-  Click(mut);
-  Click(peek);
-  EXPECT_EQ(plugin_.last_listener_result(), "2");
-  EXPECT_EQ(plugin_.delta_stats().listeners_skipped, 0u);
-  EXPECT_EQ(plugin_.memo_stats().fine_grained_survivals, 1u);
-  EXPECT_EQ(plugin_.memo_stats().hits, 1u);
-}
-
-TEST_F(DeltaDispatchTest, SecondSkipAfterReanchorStillWorks) {
-  // The serial skip re-anchors the entry (doc version + fill seq), so a
-  // second disjoint write and click skip again rather than degrade.
+TEST_F(DeltaDispatchTest, SecondDisjointWriteSurvivesAfterReanchor) {
+  // The survival re-anchors the entry at commit, so a second disjoint
+  // write and click survive again rather than degrade to a miss.
   Window* w = LoadPeekAndMutate("insert node <note/> into //aside");
   xml::Node* peek = w->document()->GetElementById("peek");
   xml::Node* mut = w->document()->GetElementById("mut");
@@ -348,8 +472,9 @@ TEST_F(DeltaDispatchTest, SecondSkipAfterReanchorStillWorks) {
   Click(mut);
   Click(peek);
   EXPECT_EQ(plugin_.last_listener_result(), "2");
-  EXPECT_EQ(plugin_.delta_stats().listeners_skipped, 2u);
+  EXPECT_EQ(plugin_.memo_stats().fine_grained_survivals, 2u);
   EXPECT_EQ(plugin_.memo_stats().hits, 2u);
+  EXPECT_EQ(plugin_.memo_stats().misses, 1u);
   EXPECT_EQ(plugin_.memo_stats().invalidations, 0u);
 }
 

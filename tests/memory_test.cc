@@ -262,14 +262,6 @@ TEST_F(MemoTest, EntriesSurviveDisjointMutations) {
   // records peek's read names at fill time and stays valid across the
   // mutation: the global version no longer matches, but every recorded
   // per-name counter does.
-  //
-  // Delta propagation off: with it on, the cheaper delta-skip probe
-  // absorbs the disjoint mutation before the per-name counters are ever
-  // consulted (covered in delta_test.cc); this test pins the PR 6
-  // fine-grained survival path itself.
-  xquery::Evaluator::EvalOptions opts = plugin_.eval_options();
-  opts.delta_propagation = false;
-  plugin_.set_eval_options(opts);
   Window* w = Load(R"(<html><body>
 <input id="peek"/><input id="mut"/>
 <ul><li>a</li><li>b</li></ul><aside/>

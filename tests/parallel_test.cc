@@ -411,16 +411,62 @@ std::string RandomDispatchPage(uint32_t seed) {
          "</body></html>";
 }
 
+// Eight memoizable readers (pure, silent) over LCG thresholds on #btn,
+// and an updating listener on #mut that writes a name the readers read
+// (even seeds: entries are invalidated by name) or one they do not (odd
+// seeds: entries survive through the per-name probe).
+std::string MemoChurnPage(uint32_t seed) {
+  uint32_t state = seed;
+  auto next = [&state]() {
+    state = state * 1664525u + 1013904223u;
+    return (state >> 16) & 0x7fff;
+  };
+  std::string items;
+  int n = 10 + static_cast<int>(next() % 20);
+  for (int i = 0; i < n; ++i) {
+    items += "<item v=\"" + std::to_string(next() % 100) + "\"/>";
+  }
+  std::string script;
+  std::string attach;
+  for (int l = 0; l < 8; ++l) {
+    const std::string fn = "local:m" + std::to_string(l);
+    script += "declare function " + fn + "($evt, $obj) { concat(\"m" +
+              std::to_string(l) + "=\", string(count(//item[@v > " +
+              std::to_string(next() % 100) + "]))) };\n";
+    attach += "on event \"onclick\" at //input[@id=\"btn\"] "
+              "attach listener " + fn + ";\n";
+  }
+  script += seed % 2 == 0
+                ? "declare updating function local:mut($evt, $obj) {\n"
+                  "  insert node <item v=\"50\"/> into //div[@id=\"data\"]\n"
+                  "};\n"
+                : "declare updating function local:mut($evt, $obj) {\n"
+                  "  insert node <entry/> into /html/body/log\n"
+                  "};\n";
+  attach += "on event \"onclick\" at //input[@id=\"mut\"] "
+            "attach listener local:mut;\n";
+  return "<html><head><script type=\"text/xqueryp\"><![CDATA[\n" + script +
+         "{ " + attach + "() }\n]]></script></head><body>"
+         "<input id=\"btn\"/><input id=\"mut\"/><log/>"
+         "<div id=\"data\">" + items + "</div></body></html>";
+}
+
 struct DispatchOutcome {
   std::vector<std::string> alerts;
   std::string dom;
   size_t fallbacks = 0;
   uint64_t staged = 0;
+  // Cumulative counters no scheduling choice may change: the page
+  // evaluator's sorts, index hits, early exits and items pulled /
+  // materialized, then memo hits, misses, invalidations and per-name
+  // survivals.
+  std::vector<uint64_t> counters;
 };
 
-DispatchOutcome RunDispatchScenario(size_t workers, uint32_t seed,
-                                    int clicks, bool compiled_plans = true,
-                                    bool delta_propagation = true) {
+// Loads `page` and clicks the element with each id in `clicks`, in order.
+DispatchOutcome RunDispatch(size_t workers, const std::string& page,
+                            const std::vector<const char*>& clicks,
+                            bool compiled_plans = true) {
   net::HttpFabric fabric;
   net::XmlStore store;
   net::ServiceHost services(&fabric, &store);
@@ -428,30 +474,53 @@ DispatchOutcome RunDispatchScenario(size_t workers, uint32_t seed,
   plugin::XqibPlugin plugin(&browser, &fabric, &services);
   plugin.Install();
   plugin.EnableParallelDispatch(workers);
-  if (!compiled_plans || !delta_propagation) {
+  if (!compiled_plans) {
     xquery::Evaluator::EvalOptions options;
-    options.compiled_plans = compiled_plans;
-    options.delta_propagation = delta_propagation;
+    options.compiled_plans = false;
     plugin.set_eval_options(options);
   }
-  Status st = browser.top_window()->LoadSource(
-      "http://app.example.com/index.xhtml", RandomDispatchPage(seed));
+  browser::Window* window = browser.top_window();
+  Status st = window->LoadSource("http://app.example.com/index.xhtml", page);
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_TRUE(plugin.last_script_error().ok())
       << plugin.last_script_error().ToString();
-  xml::Node* btn = browser.top_window()->document()->GetElementById("btn");
-  EXPECT_NE(btn, nullptr);
-  for (int c = 0; c < clicks; ++c) {
+  for (const char* id : clicks) {
+    xml::Node* target = window->document()->GetElementById(id);
+    EXPECT_NE(target, nullptr) << id;
     browser::Event e;
     e.type = "onclick";
-    plugin.FireEvent(btn, e);
+    plugin.FireEvent(target, e);
   }
+  EXPECT_TRUE(plugin.last_script_error().ok())
+      << plugin.last_script_error().ToString();
   DispatchOutcome out;
   out.alerts = plugin.alerts();
-  out.dom = xml::Serialize(browser.top_window()->document()->root());
+  out.dom = xml::Serialize(window->document()->root());
   out.fallbacks = plugin.parallel_fallbacks();
   out.staged = browser.events().staged_invocations();
+  const xquery::Evaluator::EvalStats* s = plugin.page_eval_stats(window);
+  EXPECT_NE(s, nullptr);
+  const plugin::XqibPlugin::MemoStats& m = plugin.memo_stats();
+  if (s != nullptr) {
+    out.counters = {s->sorts_performed,
+                    s->sorts_elided,
+                    s->name_index_hits,
+                    s->count_index_hits,
+                    s->early_exits,
+                    s->streams.items_pulled,
+                    s->streams.items_materialized,
+                    m.hits,
+                    m.misses,
+                    m.invalidations,
+                    m.fine_grained_survivals};
+  }
   return out;
+}
+
+DispatchOutcome RunDispatchScenario(size_t workers, uint32_t seed,
+                                    int clicks, bool compiled_plans = true) {
+  return RunDispatch(workers, RandomDispatchPage(seed),
+                     std::vector<const char*>(clicks, "btn"), compiled_plans);
 }
 
 TEST(DispatchDeterminism, PoolSizeIsUnobservable) {
@@ -501,31 +570,33 @@ TEST(DispatchDeterminism, PlanAblationIsUnobservableAtEveryPoolSize) {
   }
 }
 
-// The delta-propagation ablation crossed with every pool size: the
-// delta-off serial run (PR 6 survive-or-recompute behavior) is the
-// oracle. Index splicing, listener skipping and the dirty-seq protocol
-// are pure caching — neither they nor any pool size may change one byte
-// of what the page observes.
-TEST(DispatchDeterminism, DeltaAblationIsUnobservableAtEveryPoolSize) {
+// The merged commit step's contract: whichever executor ran a listener,
+// the page evaluator's cumulative counters and the memo traffic come out
+// the same at every pool size. The memo churn page stages its eight
+// readers together, so survivals and their re-anchoring run through the
+// staged commit; the random page interleaves an updater into the run.
+TEST(DispatchDeterminism, CumulativeCountersAreUnobservableAtEveryPoolSize) {
+  const std::vector<const char*> churn = {"btn", "mut", "btn", "btn",
+                                          "mut", "btn", "btn"};
   for (uint32_t seed : {1u, 7u, 42u}) {
-    DispatchOutcome reference = RunDispatchScenario(
-        0, seed, 3, /*compiled_plans=*/true, /*delta_propagation=*/false);
-    ASSERT_EQ(reference.alerts.size(), 24u) << "seed " << seed;
-    for (bool delta : {false, true}) {
-      for (size_t workers : {0u, 1u, 4u, 8u}) {
-        if (!delta && workers == 0) continue;  // that's the reference
-        DispatchOutcome got = RunDispatchScenario(
-            workers, seed, 3, /*compiled_plans=*/true, delta);
-        EXPECT_EQ(got.alerts, reference.alerts)
-            << "seed " << seed << " workers " << workers
-            << " delta " << delta;
-        EXPECT_EQ(got.dom, reference.dom)
-            << "seed " << seed << " workers " << workers
-            << " delta " << delta;
-        EXPECT_EQ(got.fallbacks, 0u)
-            << "seed " << seed << " workers " << workers
-            << " delta " << delta;
-      }
+    DispatchOutcome reference = RunDispatchScenario(0, seed, 3);
+    DispatchOutcome memo_reference = RunDispatch(0, MemoChurnPage(seed), churn);
+    ASSERT_EQ(memo_reference.counters.size(), 11u);
+    EXPECT_GT(memo_reference.counters[7], 0u) << "seed " << seed;  // hits
+    EXPECT_GT(memo_reference.counters[9] + memo_reference.counters[10], 0u)
+        << "seed " << seed;  // invalidations or survivals
+    for (size_t workers : {1u, 4u, 8u}) {
+      DispatchOutcome got = RunDispatchScenario(workers, seed, 3);
+      EXPECT_EQ(got.counters, reference.counters)
+          << "seed " << seed << " workers " << workers;
+      DispatchOutcome memo = RunDispatch(workers, MemoChurnPage(seed), churn);
+      EXPECT_EQ(memo.counters, memo_reference.counters)
+          << "seed " << seed << " workers " << workers;
+      EXPECT_EQ(memo.dom, memo_reference.dom)
+          << "seed " << seed << " workers " << workers;
+      EXPECT_GT(memo.staged, 0u) << "seed " << seed << " workers " << workers;
+      EXPECT_EQ(memo.fallbacks, 0u)
+          << "seed " << seed << " workers " << workers;
     }
   }
 }

@@ -175,18 +175,53 @@ TEST(ServerSmoke, HttpFrontEndRoundTrip) {
   EXPECT_EQ(srv->session_count(), 0u);
 }
 
+TEST(ServerSmoke, DeeplyNestedEventBodyIsAnErrorNotACrash) {
+  auto srv = MakeCartServer(0);
+  srv->InstallHttpFrontEnd(&srv->backend(), "http://server.local");
+  net::HttpFabric& web = srv->backend();
+  auto created =
+      web.Perform({"POST", "http://server.local/sessions", kCartPage});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_EQ(created->body, "<session id=\"s1\"/>");
+
+  // 20,000 levels of client XML used to overflow the parser's stack and
+  // take the whole shared process down.
+  std::string body = "<event type=\"onclick\" target=\"keyboard\">";
+  for (int i = 0; i < 20000; ++i) body += "<x>";
+  for (int i = 0; i < 20000; ++i) body += "</x>";
+  body += "</event>";
+  auto deep = web.Perform(
+      {"POST", "http://server.local/sessions/s1/events", body});
+  ASSERT_TRUE(deep.ok()) << deep.status().ToString();
+  EXPECT_EQ(deep->status, 400);
+  EXPECT_NE(deep->body.find("FODC0006"), std::string::npos) << deep->body;
+
+  // The same session's next valid event still applies.
+  auto fired = web.Perform({"POST", "http://server.local/sessions/s1/events",
+                            "<event type=\"onclick\" target=\"mouse\"/>"});
+  ASSERT_TRUE(fired.ok());
+  EXPECT_EQ(fired->status, 200);
+  auto dom = web.Get("http://server.local/sessions/s1/dom");
+  ASSERT_TRUE(dom.ok());
+  EXPECT_NE(dom->body.find("<p>mouse</p>"), std::string::npos) << dom->body;
+  EXPECT_EQ(dom->body.find("<p>keyboard</p>"), std::string::npos);
+}
+
 // ---------------------------------------------- sharing vs isolation ---
 
 TEST(ServerSharing, SecondSessionHitsTheSharedPlanCache) {
-  // A page source unique to this test so the first load really
-  // compiles (the global cache outlives tests in this binary).
+  // A page source unique to this invocation so the first load really
+  // compiles: the process-wide cache outlives tests in this binary, and
+  // --gtest_repeat runs this test again in the same process.
+  static int invocation = 0;
+  const std::string probe = "local:sharing_probe" + std::to_string(++invocation);
   const std::string page =
       "<html><head><script type=\"text/xqueryp\"><![CDATA[\n"
-      "declare updating function local:sharing_probe($evt, $obj) {\n"
+      "declare updating function " + probe + "($evt, $obj) {\n"
       "  insert node <hit/> into //div[@id=\"out\"]\n"
       "};\n"
       "on event \"onclick\" at //input[@id=\"btn\"]\n"
-      "  attach listener local:sharing_probe\n"
+      "  attach listener " + probe + "\n"
       "]]></script></head><body>"
       "<input id=\"btn\"/><div id=\"out\"/></body></html>";
 

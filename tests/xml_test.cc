@@ -117,6 +117,23 @@ TEST(XmlParser, IeTagFoldingUppercasesNames) {
             "d");
 }
 
+TEST(XmlParser, NestingDepthIsBounded) {
+  auto nested = [](int levels) {
+    std::string open, close;
+    for (int i = 0; i < levels; ++i) {
+      open += "<a>";
+      close += "</a>";
+    }
+    return "<r>" + open + close + "</r>";
+  };
+  EXPECT_TRUE(xml::ParseDocument(nested(xml::kMaxElementDepth)).ok());
+  auto too_deep = xml::ParseDocument(nested(xml::kMaxElementDepth + 1));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.status().code(), "FODC0006");
+  // Far past the bound: an error, not a stack overflow.
+  EXPECT_EQ(xml::ParseDocument(nested(20000)).status().code(), "FODC0006");
+}
+
 TEST(XmlParser, FragmentParsing) {
   Document doc;
   Node* host = doc.CreateElement(QName("host"));
