@@ -1,42 +1,36 @@
 // P6 — name-granular invalidation under churn: memo entries and
 // name-index buckets that survive mutations provably disjoint from
-// their recorded read sets. Self-timed runner emitting BENCH_P6.json,
-// same schema as P2-P5.
+// their recorded read sets. Self-timed runner emitting BENCH_P6.json.
 //
 // Usage:
 //   bench_p6_invalidation [--iters N] [--out FILE] [--check]
 //                         [--baseline FILE]
 //
-// Scenarios (arms = fine-grained invalidation on vs the
-// set_fine_grained_invalidation(false) ablation, which restores the
-// pre-P6 whole-document-version behavior exactly):
+// Scenarios:
 //   memo_churn   8 memoizable listeners counting //item thresholds on
 //                one button, one updating listener appending into
 //                /html/body/loga on another; op = mutate-click then
-//                count-click. Fine-grained: every entry records
-//                ReadSet {item @v} at fill time and survives the loga
-//                churn (8 hits/op). Coarse: the global version bump
-//                evicts all 8 every op.
+//                count-click. Every entry records ReadSet {item @v} at
+//                fill time and survives the loga churn (8 hits/op).
 //   index_churn  the same churn with the memo cache disabled, so the
 //                listener re-runs every op and the win is the //item
 //                name-index bucket served without a rebuild. Page
-//                documents track deltas, so both arms splice the touched
-//                buckets (PERFORMANCE.md §8) rather than rebuild.
+//                documents track deltas, so the touched buckets splice
+//                (PERFORMANCE.md §8) rather than rebuild.
 //
-// --check exits non-zero unless both ablations agree, the fine arm's
-// survivals actually fired, the fine arm's index_churn window did ZERO
-// full name-index rebuilds while serving the stale bucket incrementally
-// (per-name fine hits or splices), and the memo hit rate improves >= 5x
-// over the coarse arm (the P6 acceptance floor).
-// --baseline FILE compares the fresh memo_churn fine-arm ns/op against
-// the checked-in BENCH_P6.json within +/-25% — the CI regression
-// guard.
+// --check exits non-zero unless both scenarios return their exact
+// expected result, memo_churn saw zero global and zero name-granular
+// invalidations and exactly eight survivals per op in the timed
+// window, and index_churn's window did ZERO full name-index rebuilds
+// while serving the stale bucket incrementally (per-name fine hits or
+// splices).
+// --baseline FILE compares the fresh memo_churn ns/op against the
+// checked-in BENCH_P6.json within +/-25% — the CI regression guard.
 
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "app/environment.h"
 #include "bench_util.h"
@@ -46,7 +40,6 @@ namespace {
 
 using xqib::app::BrowserEnvironment;
 using xqib::bench::Args;
-using xqib::bench::ScenarioResult;
 
 // The churn page: `items` valued items, one count button fanning out to
 // `listeners` memoizable listeners, one mutate button whose updating
@@ -126,7 +119,7 @@ struct ChurnEnv {
   }
 };
 
-struct ArmCounters {
+struct Counters {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t survivals = 0;
@@ -143,15 +136,17 @@ struct ArmCounters {
   }
 };
 
-// Times the churn op on a fresh environment with fine-grained
-// invalidation `fine` (and optionally the memo disabled), returning
-// the arm's counter deltas and the last listener result.
-bool RunArm(const std::string& page, bool fine, bool memo, int iters,
-            double* ns_per_op, ArmCounters* counters, std::string* result) {
+// Times the churn op on a fresh environment (optionally with the memo
+// disabled), returning the counter deltas over the timed window and the
+// last listener result.
+bool RunScenario(const std::string& page, bool memo, int iters,
+                 double* ns_per_op, Counters* counters, std::string* result) {
   ChurnEnv d;
-  d.env.plugin().set_fine_grained_invalidation(fine);
   d.env.plugin().set_memo_enabled(memo);
   if (!d.Load(page)) return false;
+  // One op outside the window fills the memo entries and warms the
+  // index: the window then measures steady-state churn.
+  d.Op();
   const auto& stats = d.env.plugin().memo_stats();
   const xqib::xml::Document* doc = d.env.browser().top_window()->document();
   const uint64_t hits0 = stats.hits;
@@ -181,6 +176,13 @@ bool RunArm(const std::string& page, bool fine, bool memo, int iters,
   return true;
 }
 
+struct Scenario {
+  const char* name;
+  const char* expected;
+  double ns_per_op = 0;
+  bool result_ok = false;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -189,99 +191,94 @@ int main(int argc, char** argv) {
   const int iters = args.iters;
   const std::string page = MakeChurnPage(2500, 8);
 
-  std::vector<ScenarioResult> results;
   bool ok = true;
 
-  // --- memo_churn: entries survive vs are evicted every op. ---
-  ArmCounters memo_fine, memo_coarse;
+  // --- memo_churn: every entry survives every op. ---
+  // The last listener is local:m7, counting the items with v > 750.
+  Scenario churn{"memo_churn", "m7=624"};
+  Counters memo;
   {
-    ScenarioResult sr;
-    sr.name = "memo_churn";
-    std::string fine_result, coarse_result;
-    ok &= RunArm(page, true, true, iters, &sr.on_ns, &memo_fine,
-                 &fine_result);
-    ok &= RunArm(page, false, true, iters, &sr.off_ns, &memo_coarse,
-                 &coarse_result);
-    sr.results_match = fine_result == coarse_result && !fine_result.empty();
-    if (!sr.results_match) {
-      std::fprintf(stderr, "memo_churn: fine %s != coarse %s\n",
-                   fine_result.c_str(), coarse_result.c_str());
+    std::string result;
+    ok &= RunScenario(page, true, iters, &churn.ns_per_op, &memo, &result);
+    churn.result_ok = result == churn.expected;
+    if (!churn.result_ok) {
+      std::fprintf(stderr, "memo_churn: got %s, expected %s\n",
+                   result.c_str(), churn.expected);
     }
-    results.push_back(sr);
   }
 
-  // --- index_churn: memo off, the //item bucket survives the rebuild. ---
-  ArmCounters index_fine, index_coarse;
+  // --- index_churn: memo off, the //item bucket survives the churn. ---
+  Scenario index_churn{"index_churn", "n=20000"};
+  Counters index;
   {
-    const std::string index_page = MakeIndexChurnPage(20000);
-    ScenarioResult sr;
-    sr.name = "index_churn";
-    std::string fine_result, coarse_result;
-    ok &= RunArm(index_page, true, false, iters, &sr.on_ns, &index_fine,
-                 &fine_result);
-    ok &= RunArm(index_page, false, false, iters, &sr.off_ns, &index_coarse,
-                 &coarse_result);
-    sr.results_match = fine_result == coarse_result && !fine_result.empty();
-    if (!sr.results_match) {
-      std::fprintf(stderr, "index_churn: fine %s != coarse %s\n",
-                   fine_result.c_str(), coarse_result.c_str());
+    std::string result;
+    ok &= RunScenario(MakeIndexChurnPage(20000), false, iters,
+                      &index_churn.ns_per_op, &index, &result);
+    index_churn.result_ok = result == index_churn.expected;
+    if (!index_churn.result_ok) {
+      std::fprintf(stderr, "index_churn: got %s, expected %s\n",
+                   result.c_str(), index_churn.expected);
     }
-    results.push_back(sr);
   }
 
-  const double rate_fine = memo_fine.HitRate();
-  const double rate_coarse = memo_coarse.HitRate();
-
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"bench_p6_invalidation\",\n  \"iters\": "
-       << iters << ",\n"
-       << xqib::bench::ScenariosJson(results, "fine", "coarse") << ",\n";
-  char buf[512];
+  char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
-      "  \"hit_rate\": {\"fine\": %.4f, \"coarse\": %.4f},\n"
+      "{\n  \"bench\": \"bench_p6_invalidation\",\n  \"iters\": %d,\n"
+      "  \"scenarios\": [\n"
+      "    {\"name\": \"%s\", \"fine_ns_per_op\": %.1f, "
+      "\"results_match\": %s},\n"
+      "    {\"name\": \"%s\", \"fine_ns_per_op\": %.1f, "
+      "\"results_match\": %s}\n  ],\n"
+      "  \"hit_rate\": {\"fine\": %.4f},\n"
       "  \"counters\": {\"fine_survivals\": %llu, "
-      "\"coarse_invalidations_global\": %llu, "
+      "\"fine_invalidations_global\": %llu, "
       "\"fine_invalidations_name\": %llu, "
-      "\"index_fine_hits\": %llu}\n}\n",
-      rate_fine, rate_coarse,
-      static_cast<unsigned long long>(memo_fine.survivals),
-      static_cast<unsigned long long>(memo_coarse.invalidations_global),
-      static_cast<unsigned long long>(memo_fine.invalidations_name),
-      static_cast<unsigned long long>(index_fine.index_fine_hits));
-  json << buf;
-  xqib::bench::EmitJson(json.str(), args.out_path);
+      "\"index_fine_hits\": %llu, \"index_builds\": %llu}\n}\n",
+      iters, churn.name, churn.ns_per_op, churn.result_ok ? "true" : "false",
+      index_churn.name, index_churn.ns_per_op,
+      index_churn.result_ok ? "true" : "false", memo.HitRate(),
+      static_cast<unsigned long long>(memo.survivals),
+      static_cast<unsigned long long>(memo.invalidations_global),
+      static_cast<unsigned long long>(memo.invalidations_name),
+      static_cast<unsigned long long>(index.index_fine_hits),
+      static_cast<unsigned long long>(index.index_builds));
+  xqib::bench::EmitJson(buf, args.out_path);
 
   if (!ok) {
     std::fprintf(stderr, "FAIL: a scenario did not run\n");
     return 1;
   }
   if (args.check) {
-    if (!xqib::bench::AllResultsMatch(results)) return 1;
-    if (memo_fine.survivals == 0) {
-      std::fprintf(stderr, "FAIL: no memo entry ever survived a churn op\n");
+    if (!churn.result_ok || !index_churn.result_ok) {
+      std::fprintf(stderr, "FAIL: a scenario returned a wrong result\n");
       return 1;
     }
-    if (index_fine.index_builds != 0 ||
-        index_fine.index_fine_hits + index_fine.index_rebuilds_avoided == 0) {
+    // Past the fill op, every count event answers all eight listeners
+    // through the per-name probe: nothing is ever invalidated.
+    const uint64_t expected_survivals = 8u * xqib::bench::WindowOps(iters);
+    if (memo.invalidations_global != 0 || memo.invalidations_name != 0 ||
+        memo.survivals != expected_survivals) {
+      std::fprintf(stderr,
+                   "FAIL: memo_churn saw %llu global and %llu name "
+                   "invalidations, %llu survivals in the timed window; "
+                   "expected 0, 0, %llu\n",
+                   static_cast<unsigned long long>(memo.invalidations_global),
+                   static_cast<unsigned long long>(memo.invalidations_name),
+                   static_cast<unsigned long long>(memo.survivals),
+                   static_cast<unsigned long long>(expected_survivals));
+      return 1;
+    }
+    if (index.index_builds != 0 ||
+        index.index_fine_hits + index.index_rebuilds_avoided == 0) {
       std::fprintf(stderr,
                    "FAIL: index_churn rebuilt the name index %llu times in "
                    "the timed window (%llu fine hits, %llu rebuilds "
                    "avoided); expected 0 rebuilds\n",
-                   static_cast<unsigned long long>(index_fine.index_builds),
-                   static_cast<unsigned long long>(index_fine.index_fine_hits),
+                   static_cast<unsigned long long>(index.index_builds),
+                   static_cast<unsigned long long>(index.index_fine_hits),
                    static_cast<unsigned long long>(
-                       index_fine.index_rebuilds_avoided));
-      return 1;
-    }
-    // The acceptance floor: the churn hit rate improves >= 5x. The
-    // coarse arm's rate is typically 0 (every op evicts everything), so
-    // also require the fine arm to be genuinely hitting.
-    if (rate_fine < 0.5 || rate_fine < 5.0 * rate_coarse) {
-      std::fprintf(stderr,
-                   "FAIL: memo churn hit rate %.4f (coarse %.4f) below "
-                   "the 5x floor\n",
-                   rate_fine, rate_coarse);
+                       index.index_rebuilds_avoided));
       return 1;
     }
     std::fputs("CHECK OK\n", stderr);
@@ -289,8 +286,7 @@ int main(int argc, char** argv) {
   if (!args.baseline_path.empty() &&
       !xqib::bench::CheckBaseline(
           args.baseline_path,
-          {{"memo_churn", "fine_ns_per_op",
-            results.empty() ? 0 : results[0].on_ns}})) {
+          {{"memo_churn", "fine_ns_per_op", churn.ns_per_op}})) {
     return 1;
   }
   return 0;

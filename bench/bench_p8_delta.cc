@@ -128,10 +128,6 @@ struct Counters {
   uint64_t fine_survivals = 0;
 };
 
-// Ops run inside the counter window: bench_util's NsPerOp runs three
-// warmup ops before the `iters` timed ones.
-int WindowOps(int iters) { return iters + 3; }
-
 // Times the churn op, returning counter deltas over the timed window and
 // the last listener result.
 bool RunScenario(const std::string& page, bool memo, int iters,
@@ -192,7 +188,7 @@ int main(int argc, char** argv) {
                       &churn.ns_per_op, &index, &result);
     // The warmup op plus the window's ops each inserted one item.
     const std::string expected =
-        "n=" + std::to_string(kItems + 1 + WindowOps(iters));
+        "n=" + std::to_string(kItems + 1 + xqib::bench::WindowOps(iters));
     churn.result_ok = result == expected;
     if (!churn.result_ok) {
       std::fprintf(stderr, "index_churn: got %s, expected %s\n",
@@ -261,7 +257,7 @@ int main(int argc, char** argv) {
     }
     // "Zero evaluation": past the warmup op, every count event replays
     // all eight entries through the per-name probe.
-    const uint64_t expected_survivals = 8u * WindowOps(iters);
+    const uint64_t expected_survivals = 8u * xqib::bench::WindowOps(iters);
     if (replay.memo_misses != 0 || replay.memo_invalidations != 0 ||
         replay.fine_survivals != expected_survivals) {
       std::fprintf(stderr,

@@ -9,14 +9,10 @@
 #include <sstream>
 
 #include "app/environment.h"
-#include "xml/xml_parser.h"
-#include "xquery/engine.h"
 
 namespace xqib::bench {
 
 using app::BrowserEnvironment;
-using xquery::DynamicContext;
-using xquery::Engine;
 using xquery::Evaluator;
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -48,79 +44,6 @@ double NsPerOp(const std::function<void()>& op, int iters) {
   auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::nano>(end - start).count() /
          iters;
-}
-
-bool TimeQuery(const std::string& query, const std::string& xml,
-               const Evaluator::EvalOptions& options, int iters,
-               double* ns_per_op, std::string* result,
-               Evaluator::EvalStats* stats) {
-  Engine engine;
-  auto compiled = engine.Compile(query);
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile failed: %s\n",
-                 compiled.status().ToString().c_str());
-    return false;
-  }
-  (*compiled)->evaluator().set_options(options);
-  std::unique_ptr<xml::Document> doc;
-  DynamicContext ctx;
-  if (!xml.empty()) {
-    auto parsed = xml::ParseDocument(xml);
-    if (!parsed.ok()) return false;
-    doc = std::move(parsed).value();
-    DynamicContext::Focus f;
-    f.item = xdm::Item::Node(doc->root());
-    f.position = 1;
-    f.size = 1;
-    f.has_item = true;
-    ctx.set_focus(f);
-  }
-  if (!(*compiled)->BindGlobals(ctx).ok()) return false;
-  bool ok = true;
-  *ns_per_op = NsPerOp(
-      [&] {
-        auto r = (*compiled)->Run(ctx);
-        if (!r.ok()) {
-          ok = false;
-          return;
-        }
-        *result = xdm::SequenceToString(*r);
-      },
-      iters);
-  *stats = (*compiled)->evaluator().stats();
-  return ok;
-}
-
-bool MeasureStats(const std::string& query, const std::string& xml,
-                  const Evaluator::EvalOptions& options,
-                  Evaluator::EvalStats* stats) {
-  double ns;
-  std::string result;
-  return TimeQuery(query, xml, options, 1, &ns, &result, stats);
-}
-
-bool RunQueryScenario(const std::string& name, const std::string& query,
-                      const std::string& xml, int iters,
-                      const Evaluator::EvalOptions& on,
-                      const Evaluator::EvalOptions& off,
-                      std::vector<ScenarioResult>* results,
-                      Evaluator::EvalStats* on_stats) {
-  ScenarioResult sr;
-  sr.name = name;
-  std::string on_result, off_result;
-  Evaluator::EvalStats off_stats;
-  if (!TimeQuery(query, xml, on, iters, &sr.on_ns, &on_result, on_stats) ||
-      !TimeQuery(query, xml, off, iters, &sr.off_ns, &off_result,
-                 &off_stats)) {
-    return false;
-  }
-  sr.results_match = on_result == off_result;
-  if (!sr.results_match) {
-    std::fprintf(stderr, "%s: ablation results differ:\n  on:  %s\n  off: %s\n",
-                 name.c_str(), on_result.c_str(), off_result.c_str());
-  }
-  results->push_back(sr);
-  return true;
 }
 
 std::string MakeDispatchPage(int rows) {
@@ -250,6 +173,10 @@ LatencySummary SummarizeLatencies(std::vector<double> samples) {
   return out;
 }
 
+namespace {
+
+// Scrapes `"field": <number>` out of the object whose `"name"` equals
+// `scenario` (line-oriented; ScenariosJson writes one scenario per line).
 bool ReadBaselineValue(const std::string& path, const std::string& scenario,
                        const std::string& field, double* out) {
   std::ifstream in(path);
@@ -266,6 +193,8 @@ bool ReadBaselineValue(const std::string& path, const std::string& scenario,
   }
   return false;
 }
+
+}  // namespace
 
 bool CheckBaseline(const std::string& path,
                    const std::vector<BaselineMetric>& metrics,

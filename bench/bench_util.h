@@ -1,7 +1,8 @@
 // Shared machinery for the self-timed JSON benchmark runners
-// (bench_p2_fastpath, bench_p3_streaming, bench_p4_memory): argument
-// parsing, the warmup+timing loop, query/dispatch ablation scenarios,
-// and the common JSON results schema
+// (bench_p4_memory … bench_p9_federation, bench_s1_server): argument
+// parsing, the warmup+timing loop, the Figure 1 dispatch scenario, the
+// latency digest, the --baseline regression guard, and the common JSON
+// results schema
 //   {"name": ..., "<on>_ns_per_op": ..., "<off>_ns_per_op": ...,
 //    "speedup": ..., "results_match": ...}
 // so every runner's checked-in BENCH_*.json stays structurally
@@ -41,29 +42,9 @@ struct ScenarioResult {
 // Median-free ns/op: 3 warmup calls, then `iters` timed calls.
 double NsPerOp(const std::function<void()>& op, int iters);
 
-// Compiles `query` against `xml` (context item = document root when
-// non-empty) and times Run() under `options`; serialized result and
-// lifetime evaluator counters come back through the out-params.
-bool TimeQuery(const std::string& query, const std::string& xml,
-               const xquery::Evaluator::EvalOptions& options, int iters,
-               double* ns_per_op, std::string* result,
-               xquery::Evaluator::EvalStats* stats);
-
-// Fresh engine, fixed number of executions, so two arms' counters are
-// directly comparable regardless of --iters.
-bool MeasureStats(const std::string& query, const std::string& xml,
-                  const xquery::Evaluator::EvalOptions& options,
-                  xquery::Evaluator::EvalStats* stats);
-
-// Runs `query` under `on` and `off` options, appends the timing pair
-// (on-arm counters via `on_stats`), and verifies both arms serialize to
-// the same result.
-bool RunQueryScenario(const std::string& name, const std::string& query,
-                      const std::string& xml, int iters,
-                      const xquery::Evaluator::EvalOptions& on,
-                      const xquery::Evaluator::EvalOptions& off,
-                      std::vector<ScenarioResult>* results,
-                      xquery::Evaluator::EvalStats* on_stats);
+// Calls NsPerOp makes of `op`, warmups included: the op count inside a
+// counter window taken around it.
+inline int WindowOps(int iters) { return iters + 3; }
 
 // The Figure 1 dispatch page: a button, a status span, `rows` table
 // rows, and an XQuery listener that re-counts the rows on every click.
@@ -103,13 +84,6 @@ struct LatencySummary {
   double p99 = 0;
 };
 LatencySummary SummarizeLatencies(std::vector<double> samples);
-
-// Scrapes `"field": <number>` out of the object whose `"name"` equals
-// `scenario` in a checked-in BENCH_*.json (line-oriented; the emitter
-// above writes one scenario per line). Used by the CI regression guard
-// to compare fresh numbers against the committed baseline.
-bool ReadBaselineValue(const std::string& path, const std::string& scenario,
-                       const std::string& field, double* out);
 
 // One --baseline guarded metric: a fresh measurement to compare against
 // the `scenario`/`field` value in a checked-in BENCH_*.json.

@@ -7,7 +7,6 @@
 #include "net/rest.h"
 #include "xquery/analysis/effects.h"
 #include "xquery/optimizer.h"
-#include "xquery/profiler.h"
 #include "xquery/update.h"
 
 namespace xqib::plugin {
@@ -206,7 +205,7 @@ Status XqibPlugin::InitializePage(Window* window) {
                                page->prefetcher.get());
   }
   pages_[window] = page;
-  window->document()->set_fine_grained_versions(fine_grained_invalidation_);
+  window->document()->set_fine_grained_versions(true);
   // Page documents always track deltas: PUL applies splice the
   // element-name index instead of rebuilding it.
   window->document()->set_delta_tracking(true);
@@ -552,16 +551,14 @@ std::function<void()> XqibPlugin::StageOnWorker(
     const Event& event) {
   // The attach-time eligibility check used the arity resolution of that
   // moment; re-verify against today's — a later script may have added an
-  // overload that resolves first and was NOT proved stageable. Updating
-  // listeners stage only with fine-grained invalidation on (the ablation
-  // switch also restores serial updating dispatch).
+  // overload that resolves first and was NOT proved stageable.
   ListenerCall call;
   const bool resolved =
       ResolveListenerArity(*page->sctx, function, &call.key.arity);
   const PageContext::ListenerKey key{function.token(), call.key.arity};
   const bool pure_safe =
       resolved && page->parallel_safe_functions.count(key) > 0;
-  call.updating = resolved && !pure_safe && fine_grained_invalidation_ &&
+  call.updating = resolved && !pure_safe &&
                   page->stageable_updating_functions.count(key) > 0;
   if (pure_safe || call.updating) {
     std::shared_ptr<PageContext::WorkerSlot> slot =
@@ -601,7 +598,7 @@ XqibPlugin::MemoProbe XqibPlugin::ProbeMemo(const PageContext& page,
     // Globally stale, but if none of the names the listener reads were
     // touched since fill time, the recorded result is still exact
     // (PERFORMANCE.md §6).
-    if (!fine_grained_invalidation_ || !entry.fine_grained) {
+    if (!entry.fine_grained) {
       return MemoProbe::kStaleGlobal;
     }
     const xml::Document* doc = page.window->document();
@@ -825,16 +822,6 @@ void XqibPlugin::CommitListener(PageContext* page,
     hs.prefetch_issued += s.http.prefetch_issued;
     hs.prefetch_hits += s.http.prefetch_hits;
   }
-  if (page->ctx->profiler != nullptr) {
-    xquery::Profiler::FastPathCounters& fp = page->ctx->profiler->fast_path();
-    fp.delta_emitted += s.delta.emitted;
-    fp.delta_index_splices += s.delta.index_splices;
-    fp.delta_bucket_rebuilds_avoided += s.delta.bucket_rebuilds_avoided;
-    fp.http_cache_hits += s.http.cache_hits;
-    fp.http_cache_misses += s.http.cache_misses;
-    fp.http_prefetch_issued += s.http.prefetch_issued;
-    fp.http_prefetch_hits += s.http.prefetch_hits;
-  }
   FillEventStats(s, &last_event_stats_);
   last_event_stats_.intern_hits = call.intern_hits;
   last_event_stats_.http_requests = call.http_requests;
@@ -848,15 +835,15 @@ XqibPlugin::PageContext::MemoEntry XqibPlugin::MakeMemoEntry(
   PageContext::MemoEntry entry;
   entry.doc_version = doc_version;
   entry.serialized = std::move(serialized);
+  // Page documents always keep per-name versions (InitializePage), so an
+  // entry whose read set the effect analysis knows records them.
   const xml::Document* doc = page->window->document();
-  if (fine_grained_invalidation_ && doc->fine_grained_versions()) {
-    auto names = page->listener_read_names.find(key);
-    if (names != page->listener_read_names.end()) {
-      entry.fine_grained = true;
-      entry.read_versions.reserve(names->second.size());
-      for (const xml::InternedName* token : names->second) {
-        entry.read_versions.emplace_back(token, doc->name_version(token));
-      }
+  auto names = page->listener_read_names.find(key);
+  if (names != page->listener_read_names.end()) {
+    entry.fine_grained = true;
+    entry.read_versions.reserve(names->second.size());
+    for (const xml::InternedName* token : names->second) {
+      entry.read_versions.emplace_back(token, doc->name_version(token));
     }
   }
   return entry;
@@ -977,16 +964,6 @@ void XqibPlugin::WireThreadPool(base::ThreadPool* pool) {
   }
 }
 
-void XqibPlugin::set_fine_grained_invalidation(bool on) {
-  fine_grained_invalidation_ = on;
-  // Toggling the document's counter mode drops stale counters and
-  // forces the next name-index lookup through a full rebuild, so flips
-  // mid-session stay sound.
-  for (auto& [window, page] : pages_) {
-    page->window->document()->set_fine_grained_versions(on);
-  }
-}
-
 void XqibPlugin::set_eval_options(
     const xquery::Evaluator::EvalOptions& options) {
   eval_options_ = options;
@@ -1047,8 +1024,7 @@ Status XqibPlugin::AttachListener(const std::string& event_name,
     auto fx = page->listener_effects.find(lkey);
     if (fx != page->listener_effects.end()) l.effects = fx->second;
     if (page->parallel_safe_functions.count(lkey) > 0 ||
-        (fine_grained_invalidation_ &&
-         page->stageable_updating_functions.count(lkey) > 0)) {
+        page->stageable_updating_functions.count(lkey) > 0) {
       l.stage = [this, weak, listener](const Event& event)
           -> std::function<void()> {
         std::shared_ptr<PageContext> page = weak.lock();

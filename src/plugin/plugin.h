@@ -145,16 +145,6 @@ class XqibPlugin : public xquery::BrowserBinding {
   // index buckets from the same deltas.
   uint64_t deltas_emitted() const { return deltas_emitted_; }
 
-  // Ablation switch for name-granular invalidation (PERFORMANCE.md §6).
-  // Off restores the pre-effect-analysis behavior exactly: the memo
-  // cache and the element-name index validate against the whole-document
-  // version only, and updating listeners never take the staged path.
-  // Applies to live pages and pages loaded later.
-  void set_fine_grained_invalidation(bool on);
-  bool fine_grained_invalidation() const {
-    return fine_grained_invalidation_;
-  }
-
   // Serialized value of the most recent listener invocation (whether
   // evaluated or replayed from the memo cache). Tests compare replayed
   // dispatches against fresh ones through this channel.
@@ -248,7 +238,8 @@ class XqibPlugin : public xquery::BrowserBinding {
   size_t parallel_fallbacks() const { return parallel_fallbacks_; }
 
   // Applies `options` to every live page evaluator and to evaluators of
-  // pages loaded later (benchmark ablations flip the fast paths off).
+  // pages loaded later (the plan and federation oracles flip their
+  // switches off).
   void set_eval_options(const xquery::Evaluator::EvalOptions& options);
   const xquery::Evaluator::EvalOptions& eval_options() const {
     return eval_options_;
@@ -562,7 +553,6 @@ class XqibPlugin : public xquery::BrowserBinding {
   std::vector<xquery::analysis::Diagnostic> last_diagnostics_;
   size_t pure_listener_skips_ = 0;
   bool memo_enabled_ = true;
-  bool fine_grained_invalidation_ = true;
   MemoStats memo_stats_;
   uint64_t deltas_emitted_ = 0;
   std::string last_listener_result_;

@@ -1,11 +1,38 @@
 #include "xquery/engine.h"
 
 #include "xquery/parser.h"
+#include "xquery/profiler.h"
 #include "xquery/update.h"
 
 namespace xqib::xquery {
 
+namespace {
+
+// Hands an attached profiler the evaluator's counter delta over one
+// BindGlobals/Run/Call, on every return path.
+class ProfilerWindow {
+ public:
+  ProfilerWindow(const Evaluator& ev, Profiler* profiler)
+      : ev_(ev), profiler_(profiler) {
+    if (profiler_ != nullptr) before_ = ev_.stats();
+  }
+  ~ProfilerWindow() {
+    if (profiler_ == nullptr) return;
+    Evaluator::EvalStats delta = ev_.stats();
+    delta -= before_;
+    profiler_->AddStats(delta);
+  }
+
+ private:
+  const Evaluator& ev_;
+  Profiler* profiler_;
+  Evaluator::EvalStats before_;
+};
+
+}  // namespace
+
 Status CompiledQuery::BindGlobals(DynamicContext& ctx) {
+  ProfilerWindow window(evaluator_, ctx.profiler);
   auto bind_module = [&](const Module& m) -> Status {
     for (const VarDecl& v : m.variables) {
       if (v.external) {
@@ -34,6 +61,7 @@ Status CompiledQuery::BindGlobals(DynamicContext& ctx) {
 Result<xdm::Sequence> CompiledQuery::Run(DynamicContext& ctx,
                                          bool apply_updates) {
   if (module_->body == nullptr) return xdm::Sequence{};
+  ProfilerWindow window(evaluator_, ctx.profiler);
   XQ_ASSIGN_OR_RETURN(xdm::Sequence result,
                       evaluator_.Eval(*module_->body, ctx));
   if (evaluator_.exited()) result = evaluator_.TakeExitValue();
@@ -50,6 +78,7 @@ Result<xdm::Sequence> CompiledQuery::Run(DynamicContext& ctx,
 Result<xdm::Sequence> CompiledQuery::Call(const xml::QName& function,
                                           std::vector<xdm::Sequence> args,
                                           DynamicContext& ctx) {
+  ProfilerWindow window(evaluator_, ctx.profiler);
   XQ_ASSIGN_OR_RETURN(
       xdm::Sequence result,
       evaluator_.CallFunction(function, std::move(args), ctx));

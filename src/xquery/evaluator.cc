@@ -298,7 +298,7 @@ class StepStream : public ItemStream {
         while (xml::Node* n = cursor_.NextNode()) {
           if (MatchesNodeTest(step_->test, n, step_->axis)) {
             *out = Item::Node(n);
-            ev_->CountPulled(*ctx_);
+            ev_->CountPulled();
             return true;
           }
         }
@@ -306,7 +306,7 @@ class StepStream : public ItemStream {
       }
       if (buf_pos_ < buffered_.size()) {
         *out = buffered_[buf_pos_++];
-        ev_->CountPulled(*ctx_);
+        ev_->CountPulled();
         return true;
       }
       Item origin;
@@ -324,7 +324,7 @@ class StepStream : public ItemStream {
             buffered_, EvaluatorStreams::Step(*ev_, *step_, origin.node(),
                                               *ctx_));
         buf_pos_ = 0;
-        ev_->CountMaterialized(*ctx_, buffered_.size());
+        ev_->CountMaterialized(buffered_.size());
       }
     }
   }
@@ -352,7 +352,7 @@ class SortBarrierStream : public ItemStream {
   Result<bool> Next(Item* out) override {
     if (!sorted_) {
       XQ_ASSIGN_OR_RETURN(buf_, xdm::MaterializeStream(*input_, nullptr));
-      ev_->CountMaterialized(*ctx_, buf_.size());
+      ev_->CountMaterialized(buf_.size());
       XQ_RETURN_NOT_OK(xdm::SortDocumentOrderDedup(&buf_));
       sorted_ = true;
       input_.reset();
@@ -402,7 +402,7 @@ class PredicateStream : public ItemStream {
       if (!keep.ok()) return keep.status();
       if (*keep) {
         *out = std::move(item);
-        ev_->CountPulled(*ctx_);
+        ev_->CountPulled();
         return true;
       }
     }
@@ -448,8 +448,8 @@ class TakeNthStream : public ItemStream {
       if (!more) return false;
     }
     input_.reset();
-    ev_->CountPulled(*ctx_);
-    ev_->CountEarlyExit(*ctx_);
+    ev_->CountPulled();
+    ev_->CountEarlyExit();
     *out = std::move(item);
     return true;
   }
@@ -483,9 +483,9 @@ class TakeLastStream : public ItemStream {
     }
     input_.reset();
     if (!any) return false;
-    ev_->CountPulled(*ctx_);
-    ev_->CountBuffersAvoided(*ctx_);
-    ev_->CountEarlyExit(*ctx_);
+    ev_->CountPulled();
+    ev_->CountBuffersAvoided();
+    ev_->CountEarlyExit();
     *out = std::move(last);
     return true;
   }
@@ -510,7 +510,7 @@ class ConcatStream : public ItemStream {
       if (cur_ != nullptr) {
         XQ_ASSIGN_OR_RETURN(bool more, cur_->Next(out));
         if (more) {
-          ev_->CountPulled(*ctx_);
+          ev_->CountPulled();
           return true;
         }
         cur_.reset();
@@ -628,7 +628,7 @@ class FlworStream : public ItemStream {
         XQ_ASSIGN_OR_RETURN(bool more, ret_->Next(&item));
         if (more) {
           *out = std::move(item);
-          ev_->CountPulled(*ctx_);
+          ev_->CountPulled();
           return true;
         }
         ret_.reset();
@@ -644,7 +644,7 @@ class FlworStream : public ItemStream {
       }
       if (ret_expr_ == nullptr) {  // tuple mode
         *out = Item::Boolean(true);
-        ev_->CountPulled(*ctx_);
+        ev_->CountPulled();
         return true;
       }
       XQ_ASSIGN_OR_RETURN(ret_, ev_->EvalStream(*ret_expr_, *ctx_));
@@ -659,7 +659,7 @@ class FlworStream : public ItemStream {
     while (true) {
       if (pending_idx_ < pending_.size()) {
         *out = pending_[pending_idx_++];
-        ev_->CountPulled(*ctx_);
+        ev_->CountPulled();
         return true;
       }
       XQ_ASSIGN_OR_RETURN(bool tuple, AdvanceTuple());
@@ -676,7 +676,7 @@ class FlworStream : public ItemStream {
       }
       if (v->size() == 1) {
         *out = (*v)[0];
-        ev_->CountPulled(*ctx_);
+        ev_->CountPulled();
         return true;
       }
       pending_.assign(v->begin(), v->end());
@@ -749,7 +749,7 @@ class FlworStream : public ItemStream {
         continue;
       }
       XQ_ASSIGN_OR_RETURN(st.stream, ev_->EvalStream(*c.expr, *ctx_));
-      ev_->CountBuffersAvoided(*ctx_);
+      ev_->CountBuffersAvoided();
       Item item;
       XQ_ASSIGN_OR_RETURN(bool more, st.stream->Next(&item));
       if (!more) {
@@ -783,13 +783,12 @@ class FlworStream : public ItemStream {
   size_t pending_idx_ = 0;
 };
 
-// Allocates a stream operator on the context's dispatch arena (or the
-// heap under the arena_streams=false ablation), accounting the bytes.
+// Allocates a stream operator on the context's dispatch arena,
+// accounting the bytes.
 template <typename T, typename... Args>
 StreamPtr MakeOp(Evaluator* ev, DynamicContext& ctx, Args&&... args) {
-  xdm::Arena* arena = ev->StreamArena(ctx);
-  if (arena != nullptr) ev->CountArenaAlloc(ctx, sizeof(T));
-  return xdm::MakeStream<T>(arena, std::forward<Args>(args)...);
+  ev->CountArenaAlloc(sizeof(T));
+  return xdm::MakeStream<T>(ctx.arena(), std::forward<Args>(args)...);
 }
 
 }  // namespace
@@ -850,7 +849,7 @@ Result<Sequence> Evaluator::EvalImpl(const Expr& e, DynamicContext& ctx) {
       Sequence out;
       if (hi >= lo) out.reserve(static_cast<size_t>(hi - lo + 1));
       for (int64_t v = lo; v <= hi; ++v) out.push_back(Item::Integer(v));
-      CountMaterialized(ctx, out.size());
+      CountMaterialized(out.size());
       return out;
     }
     case ExprKind::kArith:
@@ -866,30 +865,23 @@ Result<Sequence> Evaluator::EvalImpl(const Expr& e, DynamicContext& ctx) {
       return Sequence{Item::Boolean(rv)};
     }
     case ExprKind::kPath: {
-      if (options_.stream_pipeline) {
-        XQ_ASSIGN_OR_RETURN(
-            xdm::StreamPtr s,
-            BuildPathStream(e, ctx, /*ordered_required=*/true));
-        return MaterializeFrom(std::move(s), ctx);
-      }
-      return EvalPathEager(e, ctx);
+      XQ_ASSIGN_OR_RETURN(
+          xdm::StreamPtr s,
+          BuildPathStream(e, ctx, /*ordered_required=*/true));
+      return MaterializeFrom(std::move(s));
     }
     case ExprKind::kFilter: {
-      if (options_.stream_pipeline) {
-        XQ_ASSIGN_OR_RETURN(xdm::StreamPtr s, BuildFilterStream(e, ctx));
-        return MaterializeFrom(std::move(s), ctx);
-      }
-      XQ_ASSIGN_OR_RETURN(Sequence input, Eval(*e.kids[0], ctx));
-      return ApplyPredicates(e.predicates, std::move(input), ctx);
+      XQ_ASSIGN_OR_RETURN(xdm::StreamPtr s, BuildFilterStream(e, ctx));
+      return MaterializeFrom(std::move(s));
     }
     case ExprKind::kFLWOR: {
       MaybeScatterFlwor(e, ctx);
-      if (options_.stream_pipeline && e.order_specs.empty()) {
+      if (e.order_specs.empty()) {
         const Expr* where = e.where == nullptr ? nullptr : e.where.get();
         xdm::StreamPtr s =
             MakeOp<FlworStream>(this, ctx, this, &ctx, &e, where,
                                 e.kids[0].get(), /*negate_where=*/false);
-        return MaterializeFrom(std::move(s), ctx);
+        return MaterializeFrom(std::move(s));
       }
       return EvalFLWOR(e, ctx);
     }
@@ -983,49 +975,10 @@ Result<Sequence> Evaluator::EvalImpl(const Expr& e, DynamicContext& ctx) {
 
 // -------------------------------------------------------------- paths ---
 
-// Counter hooks: every bump mirrors into the profiler's fast-path block
-// so per-event reports and plugin EventStats see the same numbers.
-void Evaluator::CountPulled(DynamicContext& ctx, uint64_t n) {
-  stats_.streams.items_pulled += n;
-  if (ctx.profiler != nullptr) {
-    ctx.profiler->fast_path().items_pulled += n;
-  }
-}
-
-void Evaluator::CountMaterialized(DynamicContext& ctx, uint64_t n) {
-  stats_.streams.items_materialized += n;
-  if (ctx.profiler != nullptr) {
-    ctx.profiler->fast_path().items_materialized += n;
-  }
-}
-
-void Evaluator::CountBuffersAvoided(DynamicContext& ctx, uint64_t n) {
-  stats_.streams.buffers_avoided += n;
-  if (ctx.profiler != nullptr) {
-    ctx.profiler->fast_path().buffers_avoided += n;
-  }
-}
-
-void Evaluator::CountEarlyExit(DynamicContext& ctx) {
-  ++stats_.early_exits;
-  if (ctx.profiler != nullptr) ++ctx.profiler->fast_path().early_exits;
-}
-
-void Evaluator::CountArenaAlloc(DynamicContext& ctx, uint64_t bytes) {
-  stats_.arena_bytes_used += bytes;
-  if (ctx.profiler != nullptr) {
-    ctx.profiler->fast_path().arena_bytes_used += bytes;
-  }
-}
-
 void Evaluator::ResetDispatchArena(DynamicContext& ctx) {
   ctx.arena().Reset();
   ++stats_.arena_resets;
   stats_.intern_hits = xml::GetInternStats().hits;
-  if (ctx.profiler != nullptr) {
-    ++ctx.profiler->fast_path().arena_resets;
-    ctx.profiler->fast_path().intern_hits = stats_.intern_hits;
-  }
 }
 
 namespace {
@@ -1133,7 +1086,9 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
   // The initial context sequence is small (usually the focus item or a
   // variable) — evaluate it eagerly, then stream the steps off it.
   XQ_ASSIGN_OR_RETURN(Sequence current, PathInput(e, ctx));
-  if (e.steps.empty()) return xdm::SequenceStream(std::move(current), StreamArena(ctx));
+  if (e.steps.empty()) {
+    return xdm::SequenceStream(std::move(current), ctx.arena());
+  }
 
   size_t start = 0;
   xdm::StreamPtr s;
@@ -1142,8 +1097,7 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
   // With a worker pool, //name[pred] also qualifies: the bucket is
   // partitioned across the pool and each slice filters with globally
   // correct position()/last() (ParallelStepStream path).
-  if (options_.use_name_index && current.size() == 1 &&
-      current[0].is_node()) {
+  if (current.size() == 1 && current[0].is_node()) {
     bool skip_origin = false;
     const std::vector<xml::Node*>* bucket =
         IndexedStepBucket(e.steps[0], current[0].node(), &skip_origin);
@@ -1221,89 +1175,31 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
       if (handled) {
         ++stats_.name_index_hits;
         ++stats_.sorts_elided;
-        if (ctx.profiler != nullptr) {
-          ++ctx.profiler->fast_path().name_index_hits;
-          ++ctx.profiler->fast_path().sorts_elided;
-        }
-        CountMaterialized(ctx, hits.size());
-        s = xdm::SequenceStream(std::move(hits), StreamArena(ctx));
+        CountMaterialized(hits.size());
+        s = xdm::SequenceStream(std::move(hits), ctx.arena());
         start = consumed;
       }
     }
   }
-  if (s == nullptr) s = xdm::SequenceStream(std::move(current), StreamArena(ctx));
+  if (s == nullptr) s = xdm::SequenceStream(std::move(current), ctx.arena());
 
   for (size_t si = start; si < e.steps.size(); ++si) {
     const Step& step = e.steps[si];
     const bool last_step = si + 1 == e.steps.size();
-    const bool elide = options_.honor_sort_elision && step.preserves_order &&
-                       step.no_duplicates;
+    const bool elide = step.preserves_order && step.no_duplicates;
     s = MakeOp<StepStream>(this, ctx, this, &ctx, &step, std::move(s));
     // Existence consumers only observe emptiness, so the final step may
     // skip its barrier even without an elision proof. Everything that
     // counts, aggregates or positions must see sorted, deduped output.
     if (elide || (last_step && !ordered_required)) {
       ++stats_.sorts_elided;
-      if (ctx.profiler != nullptr) ++ctx.profiler->fast_path().sorts_elided;
-      if (!elide) CountBuffersAvoided(ctx);
+      if (!elide) CountBuffersAvoided();
     } else {
       ++stats_.sorts_performed;
-      if (ctx.profiler != nullptr) {
-        ++ctx.profiler->fast_path().sorts_performed;
-      }
       s = MakeOp<SortBarrierStream>(this, ctx, this, &ctx, std::move(s));
     }
   }
   return s;
-}
-
-// Eager per-step loop: the stream_pipeline=false ablation baseline.
-Result<Sequence> Evaluator::EvalPathEager(const Expr& e, DynamicContext& ctx) {
-  XQ_ASSIGN_OR_RETURN(Sequence current, PathInput(e, ctx));
-  if (e.steps.empty()) return current;
-
-  for (size_t si = 0; si < e.steps.size(); ++si) {
-    const Step& step = e.steps[si];
-    const bool elide = options_.honor_sort_elision && step.preserves_order &&
-                       step.no_duplicates;
-    Sequence next;
-    bool indexed = false;
-
-    if (options_.use_name_index && TryIndexedStep(step, current, &next)) {
-      indexed = true;
-      ++stats_.name_index_hits;
-      if (ctx.profiler != nullptr) {
-        ++ctx.profiler->fast_path().name_index_hits;
-      }
-      if (!step.predicates.empty()) {
-        XQ_ASSIGN_OR_RETURN(
-            next, ApplyPredicates(step.predicates, std::move(next), ctx));
-      }
-    } else {
-      for (const Item& item : current) {
-        if (!item.is_node()) {
-          return Status::Error("XPTY0019",
-                               "path step applied to an atomic value");
-        }
-        XQ_ASSIGN_OR_RETURN(Sequence part, EvalStep(step, item.node(), ctx));
-        next.insert(next.end(), part.begin(), part.end());
-      }
-    }
-
-    if (indexed || elide) {
-      ++stats_.sorts_elided;
-      if (ctx.profiler != nullptr) ++ctx.profiler->fast_path().sorts_elided;
-    } else {
-      ++stats_.sorts_performed;
-      if (ctx.profiler != nullptr) {
-        ++ctx.profiler->fast_path().sorts_performed;
-      }
-      XQ_RETURN_NOT_OK(xdm::SortDocumentOrderDedup(&next));
-    }
-    CountMaterialized(ctx, next.size());
-    current = std::move(next);
-  }
-  return current;
 }
 
 const std::vector<xml::Node*>* Evaluator::IndexedStepBucket(
@@ -1385,11 +1281,7 @@ bool Evaluator::TryFastCount(const Expr& arg, DynamicContext& ctx,
   *out = n;
   ++stats_.count_index_hits;
   ++stats_.name_index_hits;
-  if (ctx.profiler != nullptr) {
-    ++ctx.profiler->fast_path().count_index_hits;
-    ++ctx.profiler->fast_path().name_index_hits;
-  }
-  CountBuffersAvoided(ctx);
+  CountBuffersAvoided();
   return true;
 }
 
@@ -1403,9 +1295,9 @@ Result<xdm::StreamPtr> Evaluator::EvalStream(const Expr& e,
 Result<xdm::StreamPtr> Evaluator::EvalStreamOrdered(const Expr& e,
                                                     DynamicContext& ctx,
                                                     bool ordered_required) {
-  if (!options_.stream_pipeline || exit_flag_) {
+  if (exit_flag_) {
     XQ_ASSIGN_OR_RETURN(Sequence v, Eval(e, ctx));
-    return xdm::SequenceStream(std::move(v), StreamArena(ctx));
+    return xdm::SequenceStream(std::move(v), ctx.arena());
   }
   switch (e.kind) {
     case ExprKind::kPath:
@@ -1426,15 +1318,17 @@ Result<xdm::StreamPtr> Evaluator::EvalStreamOrdered(const Expr& e,
     case ExprKind::kRange: {
       XQ_ASSIGN_OR_RETURN(Sequence lo_seq, Eval(*e.kids[0], ctx));
       XQ_ASSIGN_OR_RETURN(Sequence hi_seq, Eval(*e.kids[1], ctx));
-      if (lo_seq.empty() || hi_seq.empty()) return xdm::EmptyStream(StreamArena(ctx));
+      if (lo_seq.empty() || hi_seq.empty()) {
+        return xdm::EmptyStream(ctx.arena());
+      }
       XQ_ASSIGN_OR_RETURN(AtomicValue lo_a,
                           RequireSingleAtomic(lo_seq, "range"));
       XQ_ASSIGN_OR_RETURN(AtomicValue hi_a,
                           RequireSingleAtomic(hi_seq, "range"));
       XQ_ASSIGN_OR_RETURN(int64_t lo, lo_a.ToInteger());
       XQ_ASSIGN_OR_RETURN(int64_t hi, hi_a.ToInteger());
-      CountBuffersAvoided(ctx);
-      return xdm::RangeStream(lo, hi, StreamArena(ctx));
+      CountBuffersAvoided();
+      return xdm::RangeStream(lo, hi, ctx.arena());
     }
     case ExprKind::kIf: {
       XQ_ASSIGN_OR_RETURN(bool b, EvalBool(*e.kids[0], ctx));
@@ -1444,39 +1338,36 @@ Result<xdm::StreamPtr> Evaluator::EvalStreamOrdered(const Expr& e,
     case ExprKind::kEnclosed:
       return EvalStreamOrdered(*e.kids[0], ctx, ordered_required);
     case ExprKind::kLiteral:
-      return xdm::SingletonStream(Item::Atomic(e.atom), StreamArena(ctx));
+      return xdm::SingletonStream(Item::Atomic(e.atom), ctx.arena());
     case ExprKind::kContextItem: {
       if (!ctx.focus().has_item) {
         return Status::Error("XPDY0002", "context item is undefined");
       }
-      return xdm::SingletonStream(ctx.focus().item, StreamArena(ctx));
+      return xdm::SingletonStream(ctx.focus().item, ctx.arena());
     }
     case ExprKind::kVarRef: {
       XQ_ASSIGN_OR_RETURN(Sequence v, ctx.env().Lookup(e.qname));
-      return xdm::SequenceStream(std::move(v), StreamArena(ctx));
+      return xdm::SequenceStream(std::move(v), ctx.arena());
     }
     default:
       break;
   }
   // Everything else evaluates eagerly and streams the buffer.
   XQ_ASSIGN_OR_RETURN(Sequence v, Eval(e, ctx));
-  return xdm::SequenceStream(std::move(v), StreamArena(ctx));
+  return xdm::SequenceStream(std::move(v), ctx.arena());
 }
 
-Result<Sequence> Evaluator::MaterializeFrom(xdm::StreamPtr s,
-                                            DynamicContext& ctx) {
-  XQ_ASSIGN_OR_RETURN(Sequence out, xdm::MaterializeStream(*s, nullptr));
-  CountMaterialized(ctx, out.size());
-  return out;
+Result<Sequence> Evaluator::MaterializeFrom(xdm::StreamPtr s) {
+  return xdm::MaterializeStream(*s, &stats_.streams);
 }
 
-Result<bool> Evaluator::StreamEBV(xdm::ItemStream& s, DynamicContext& ctx) {
+Result<bool> Evaluator::StreamEBV(xdm::ItemStream& s) {
   Item first;
   XQ_ASSIGN_OR_RETURN(bool any, s.Next(&first));
   if (!any) return false;
   if (first.is_node()) {
     // A node witness decides regardless of what follows (§2.4.3).
-    CountEarlyExit(ctx);
+    CountEarlyExit();
     return true;
   }
   // Singleton atomic: the EBV of the item itself. A second item would
@@ -1500,7 +1391,7 @@ Result<xdm::StreamPtr> Evaluator::BuildFilterStream(const Expr& e,
     const Expr& pred = *pred_ptr;
     // E[N]: a literal integer predicate over a (sorted) stream needs N
     // pulls, not the full sequence.
-    if (options_.bounded_eval && pred.kind == ExprKind::kLiteral &&
+    if (pred.kind == ExprKind::kLiteral &&
         pred.atom.type() == AtomicType::kInteger) {
       s = MakeOp<TakeNthStream>(this, ctx, this, &ctx, pred.atom.int_value(),
                                 std::move(s));
@@ -1512,16 +1403,16 @@ Result<xdm::StreamPtr> Evaluator::BuildFilterStream(const Expr& e,
                    pred.qname.local() == "last" &&
                    sctx_.FindFunction(pred.qname, 0) == nullptr &&
                    ctx.FindExternal(pred.qname, 0) == nullptr;
-    if (options_.bounded_eval && is_last) {
+    if (is_last) {
       s = MakeOp<TakeLastStream>(this, ctx, this, &ctx, std::move(s));
       continue;
     }
     if (NeedsLast(pred)) {
       // The predicate may observe fn:last(): materialize so the focus
       // carries the true size.
-      XQ_ASSIGN_OR_RETURN(Sequence buf, MaterializeFrom(std::move(s), ctx));
+      XQ_ASSIGN_OR_RETURN(Sequence buf, MaterializeFrom(std::move(s)));
       XQ_ASSIGN_OR_RETURN(buf, ApplyOnePredicate(pred, std::move(buf), ctx));
-      s = xdm::SequenceStream(std::move(buf), StreamArena(ctx));
+      s = xdm::SequenceStream(std::move(buf), ctx.arena());
       continue;
     }
     s = MakeOp<PredicateStream>(this, ctx, this, &ctx, &pred, std::move(s));
@@ -1618,21 +1509,19 @@ Result<bool> Evaluator::EvalBool(const Expr& e, DynamicContext& ctx) {
   // Lazy kinds stream to their first EBV witness: a path yields only
   // nodes, so one pull decides (XQuery §2.3.4 allows skipping the rest
   // of the evaluation); atomic producers need at most two pulls.
-  if (options_.stream_pipeline && options_.bounded_eval) {
-    switch (e.kind) {
-      case ExprKind::kPath:
-      case ExprKind::kFilter:
-      case ExprKind::kFLWOR:
-      case ExprKind::kSequence:
-      case ExprKind::kRange: {
-        XQ_ASSIGN_OR_RETURN(
-            xdm::StreamPtr s,
-            EvalStreamOrdered(e, ctx, /*ordered_required=*/false));
-        return StreamEBV(*s, ctx);
-      }
-      default:
-        break;
+  switch (e.kind) {
+    case ExprKind::kPath:
+    case ExprKind::kFilter:
+    case ExprKind::kFLWOR:
+    case ExprKind::kSequence:
+    case ExprKind::kRange: {
+      XQ_ASSIGN_OR_RETURN(
+          xdm::StreamPtr s,
+          EvalStreamOrdered(e, ctx, /*ordered_required=*/false));
+      return StreamEBV(*s);
     }
+    default:
+      break;
   }
   XQ_ASSIGN_OR_RETURN(Sequence v, Eval(e, ctx));
   return xdm::EffectiveBooleanValue(v);
@@ -2062,41 +1951,17 @@ Result<Sequence> Evaluator::EvalFLWOR(const Expr& e, DynamicContext& ctx) {
 
 Result<Sequence> Evaluator::EvalQuantified(const Expr& e,
                                            DynamicContext& ctx) {
-  bool every = e.quant_every;
-  if (options_.stream_pipeline) {
-    // Quantifiers are FLWOR tuple streams: `some` pulls until a tuple
-    // passes the test, `every` until one fails it (negate_where). One
-    // pull decides either way — the clause streams never run to
-    // exhaustion past the witness.
-    FlworStream tuples(this, &ctx, &e, /*where=*/e.kids[0].get(),
-                       /*ret=*/nullptr, /*negate_where=*/every);
-    Item marker;
-    XQ_ASSIGN_OR_RETURN(bool witness, tuples.Next(&marker));
-    if (witness) CountEarlyExit(ctx);
-    return Sequence{Item::Boolean(every ? !witness : witness)};
-  }
-  bool result = every;
-  Status error;
-  ctx.env().PushScope();
-  std::function<Status(size_t)> expand = [&](size_t ci) -> Status {
-    if (ci == e.clauses.size()) {
-      XQ_ASSIGN_OR_RETURN(bool b, EvalBool(*e.kids[0], ctx));
-      if (every && !b) result = false;
-      if (!every && b) result = true;
-      return Status();
-    }
-    XQ_ASSIGN_OR_RETURN(Sequence seq, Eval(*e.clauses[ci].expr, ctx));
-    for (const Item& item : seq) {
-      ctx.env().Bind(e.clauses[ci].var, Sequence{item});
-      XQ_RETURN_NOT_OK(expand(ci + 1));
-      if (result != every) return Status();  // early exit
-    }
-    return Status();
-  };
-  Status st = expand(0);
-  ctx.env().PopScope();
-  XQ_RETURN_NOT_OK(st);
-  return Sequence{Item::Boolean(result)};
+  // Quantifiers are FLWOR tuple streams: `some` pulls until a tuple
+  // passes the test, `every` until one fails it (negate_where). One pull
+  // decides either way — the clause streams never run to exhaustion past
+  // the witness.
+  const bool every = e.quant_every;
+  FlworStream tuples(this, &ctx, &e, /*where=*/e.kids[0].get(),
+                     /*ret=*/nullptr, /*negate_where=*/every);
+  Item marker;
+  XQ_ASSIGN_OR_RETURN(bool witness, tuples.Next(&marker));
+  if (witness) CountEarlyExit();
+  return Sequence{Item::Boolean(every ? !witness : witness)};
 }
 
 // -------------------------------------------------- comparisons, arith ---
@@ -2154,8 +2019,8 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e,
       e.qname.ns() == xml::kFnNamespace && !e.kids.empty() &&
       sctx_.FindFunction(e.qname, e.kids.size()) == nullptr &&
       ctx.FindExternal(e.qname, e.kids.size()) == nullptr;
-  if (builtin_unshadowed && options_.use_name_index &&
-      e.qname.local() == "count" && e.kids.size() == 1) {
+  if (builtin_unshadowed && e.qname.local() == "count" &&
+      e.kids.size() == 1) {
     int64_t n = 0;
     if (TryFastCount(*e.kids[0], ctx, &n)) {
       return Sequence{Item::Integer(n)};
@@ -2163,11 +2028,8 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e,
   }
   if (builtin_unshadowed) {
     StreamFnClass cls = ClassifyStreamBuiltin(e.qname, e.kids.size());
-    if (options_.stream_pipeline && cls != StreamFnClass::kNone) {
-      // Skipping the final sort barrier for existence tests is part of
-      // the bounded-evaluation ablation axis, so it stays tied to it.
-      const bool ordered = StreamBuiltinNeedsOrderedArg(e.qname.local()) ||
-                           !options_.bounded_eval;
+    if (cls != StreamFnClass::kNone) {
+      const bool ordered = StreamBuiltinNeedsOrderedArg(e.qname.local());
       XQ_ASSIGN_OR_RETURN(xdm::StreamPtr arg0,
                           EvalStreamOrdered(*e.kids[0], ctx, ordered));
       std::vector<Sequence> rest;
@@ -2176,7 +2038,7 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e,
         XQ_ASSIGN_OR_RETURN(Sequence arg, Eval(*e.kids[i], ctx));
         rest.push_back(std::move(arg));
       }
-      return CallStreamBuiltin(e.qname, *arg0, rest, *this, ctx);
+      return CallStreamBuiltin(e.qname, *arg0, rest, *this);
     }
   }
   std::vector<Sequence> args;
@@ -2217,7 +2079,6 @@ Result<Sequence> Evaluator::CallFunction(const xml::QName& name,
       if (const plan::FunctionPlan* fp =
               plans_->Find(name.token(), args.size())) {
         ++stats_.plan_hits;
-        if (ctx.profiler != nullptr) ++ctx.profiler->fast_path().plan_hits;
         Result<Sequence> result =
             plan::ExecutePlan(*fp, *plans_, std::move(args), *this, ctx);
         --ctx.call_depth;
@@ -2226,7 +2087,6 @@ Result<Sequence> Evaluator::CallFunction(const xml::QName& name,
         return result;
       }
       ++stats_.plan_misses;
-      if (ctx.profiler != nullptr) ++ctx.profiler->fast_path().plan_misses;
     }
     ctx.env().PushScope(/*barrier=*/true);
     for (size_t i = 0; i < fn->params.size(); ++i) {

@@ -37,32 +37,14 @@ class Evaluator {
  public:
   explicit Evaluator(const StaticContext& sctx) : sctx_(sctx) {}
 
-  // Runtime toggles for the path fast paths: eight switches plus the
-  // parallel cutoff. All on by default; the benchmark ablations flip
-  // them off to measure each axis in isolation. Delta propagation is not
-  // a switch: page documents always track deltas, so the element-name
-  // index splices touched buckets, and memo validity has one
-  // name-granular check (XqibPlugin's per-name probe).
+  // Runtime settings. The fast paths (document-order sort elision, the
+  // element-name index, bounded consumers that stop pulling early, the
+  // lazy stream pipeline and its per-dispatch arena) have one code path
+  // each and are always on. What remains settable is a real runtime
+  // choice (parallel_streams, which the plug-in turns off for worker-slot
+  // evaluators, and its cutoff), the one semantic oracle (compiled_plans
+  // off: every call tree-walks) and the federation prefetch switch.
   struct EvalOptions {
-    // Skip SortDocumentOrderDedup for steps the optimizer annotated
-    // order-preserving + duplicate-free.
-    bool honor_sort_elision = true;
-    // Route whole-tree descendant name steps (//name) through the
-    // document's lazily built element-name index.
-    bool use_name_index = true;
-    // Stop evaluation early for bounded consumers: existence tests
-    // ([pred], exists, empty, and/or/if/where conditions), positional
-    // [1]/[last()], head/subsequence prefixes.
-    bool bounded_eval = true;
-    // Compose path steps, FLWOR clauses and sequence-valued builtins as
-    // lazy pull streams (xdm::ItemStream). Off: every operator edge
-    // re-materializes a full Sequence — the PR 2-era eager baseline the
-    // benchmarks ablate against.
-    bool stream_pipeline = true;
-    // Allocate stream operators out of the DynamicContext's per-dispatch
-    // arena instead of the heap. Off: every operator is a malloc/free
-    // pair — the ablation baseline for the memory benchmarks.
-    bool arena_streams = true;
     // Split whole-tree //name steps across the worker pool: the
     // element-name-index bucket is partitioned, each worker evaluates
     // the first predicate over its slice (with globally correct
@@ -77,7 +59,7 @@ class Evaluator {
     // specialized by analyzer facts, cached process-wide on (source
     // hash, static-context fingerprint), and executed without AST
     // traversal. Off: every call tree-walks — the oracle the plan
-    // ablation tests compare against.
+    // tests compare against.
     bool compiled_plans = true;
     // Scatter-gather over remote sources: FLWOR bodies whose http:get
     // URLs are statically expressible (literals, or templates over the
@@ -176,32 +158,30 @@ class Evaluator {
   // Lazily evaluates `e` as a pull stream. Work is deferred into Next()
   // calls for the lazy kinds (paths, filters, FLWOR without order by,
   // sequence concatenation, ranges); everything else evaluates eagerly
-  // and streams the buffered result. With stream_pipeline off this
-  // always materializes first.
+  // and streams the buffered result.
   Result<xdm::StreamPtr> EvalStream(const Expr& e, DynamicContext& ctx);
 
   // Effective boolean value of a stream: pulls at most two items (the
   // second only to reproduce FORG0006 on multi-atomic sequences).
-  Result<bool> StreamEBV(xdm::ItemStream& s, DynamicContext& ctx);
+  Result<bool> StreamEBV(xdm::ItemStream& s);
 
   // Counter hooks shared by the stream operators and the builtin
-  // library when it drains argument streams (profiler-mirrored).
-  void CountPulled(DynamicContext& ctx, uint64_t n = 1);
-  void CountMaterialized(DynamicContext& ctx, uint64_t n);
-  void CountBuffersAvoided(DynamicContext& ctx, uint64_t n = 1);
-  void CountEarlyExit(DynamicContext& ctx);
-  void CountArenaAlloc(DynamicContext& ctx, uint64_t bytes);
+  // library when it drains argument streams. An attached profiler sees
+  // them through the EvalStats delta of each CompiledQuery Run/Call.
+  void CountPulled(uint64_t n = 1) { stats_.streams.items_pulled += n; }
+  void CountMaterialized(uint64_t n) {
+    stats_.streams.items_materialized += n;
+  }
+  void CountBuffersAvoided(uint64_t n = 1) {
+    stats_.streams.buffers_avoided += n;
+  }
+  void CountEarlyExit() { ++stats_.early_exits; }
+  void CountArenaAlloc(uint64_t bytes) { stats_.arena_bytes_used += bytes; }
 
   // Resets ctx's per-dispatch arena (the host calls this after the XQUF
   // apply pass, when no streams are live) and refreshes the arena /
-  // interning snapshots in EvalStats and the profiler.
+  // interning snapshots in EvalStats.
   void ResetDispatchArena(DynamicContext& ctx);
-
-  // The arena stream operators allocate from under the current options
-  // (null = heap, the ablation baseline).
-  xdm::Arena* StreamArena(DynamicContext& ctx) {
-    return options_.arena_streams ? &ctx.arena() : nullptr;
-  }
 
   // Invokes a user-declared or external function with pre-evaluated
   // arguments. Used by the plugin to dispatch event listeners.
@@ -255,7 +235,7 @@ class Evaluator {
   Result<xdm::StreamPtr> EvalStreamOrdered(const Expr& e, DynamicContext& ctx,
                                            bool ordered_required);
   // Drains a stream into a Sequence, accounting the buffer.
-  Result<xdm::Sequence> MaterializeFrom(xdm::StreamPtr s, DynamicContext& ctx);
+  Result<xdm::Sequence> MaterializeFrom(xdm::StreamPtr s);
   // Composes one pull stream per path step (axis cursor + optional sort
   // barrier); the initial context sequence evaluates eagerly.
   Result<xdm::StreamPtr> BuildPathStream(const Expr& e, DynamicContext& ctx,
@@ -263,9 +243,6 @@ class Evaluator {
   Result<xdm::StreamPtr> BuildFilterStream(const Expr& e, DynamicContext& ctx);
   // The initial context sequence of a path (kids[0] / root / focus).
   Result<xdm::Sequence> PathInput(const Expr& e, DynamicContext& ctx);
-  // Eager per-step path loop — the stream_pipeline=false ablation
-  // baseline and the oracle the streaming tests compare against.
-  Result<xdm::Sequence> EvalPathEager(const Expr& e, DynamicContext& ctx);
   Result<xdm::Sequence> EvalStep(const Step& step, xml::Node* node,
                                  DynamicContext& ctx);
   // Evaluates `e` and returns its effective boolean value; lazy kinds
@@ -351,7 +328,8 @@ class Evaluator {
   // over the loop variable (federation::AnalyzeFlworScatter, memoized
   // per node) and the binding is pure enough to pre-evaluate, issues the
   // whole URL batch through ctx.prefetcher before the tuple loop runs.
-  // Called from both the eager and the streaming FLWOR paths.
+  // Called from both the order-by (materializing) and the streaming
+  // FLWOR paths.
   void MaybeScatterFlwor(const Expr& e, DynamicContext& ctx);
 
   const StaticContext& sctx_;
@@ -400,7 +378,7 @@ bool StreamBuiltinNeedsOrderedArg(const std::string& local);
 Result<xdm::Sequence> CallStreamBuiltin(const xml::QName& name,
                                         xdm::ItemStream& arg0,
                                         std::vector<xdm::Sequence>& rest,
-                                        Evaluator& ev, DynamicContext& ctx);
+                                        Evaluator& ev);
 
 }  // namespace xqib::xquery
 

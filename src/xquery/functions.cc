@@ -856,46 +856,26 @@ bool StreamBuiltinNeedsOrderedArg(const std::string& local) {
 
 Result<Sequence> CallStreamBuiltin(const xml::QName& name,
                                    xdm::ItemStream& arg0,
-                                   std::vector<Sequence>& rest, Evaluator& ev,
-                                   DynamicContext& ctx) {
+                                   std::vector<Sequence>& rest,
+                                   Evaluator& ev) {
   const std::string& fn = name.local();
-  const bool bounded = ev.options().bounded_eval;
   Item item;
 
   if (fn == "exists" || fn == "empty") {
-    bool any = false;
-    while (true) {
-      XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
-      if (!more) break;
-      any = true;
-      if (bounded) {
-        ev.CountEarlyExit(ctx);
-        break;
-      }
-    }
+    XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
+    if (any) ev.CountEarlyExit();
     return Sequence{Item::Boolean(fn == "exists" ? any : !any)};
   }
   if (fn == "boolean" || fn == "not") {
-    bool b = false;
-    if (bounded) {
-      XQ_ASSIGN_OR_RETURN(b, ev.StreamEBV(arg0, ctx));
-    } else {
-      XQ_ASSIGN_OR_RETURN(Sequence v, xdm::MaterializeStream(arg0, nullptr));
-      ev.CountMaterialized(ctx, v.size());
-      XQ_ASSIGN_OR_RETURN(b, xdm::EffectiveBooleanValue(v));
-    }
+    XQ_ASSIGN_OR_RETURN(bool b, ev.StreamEBV(arg0));
     return Sequence{Item::Boolean(fn == "boolean" ? b : !b)};
   }
   if (fn == "head") {
     Sequence out;
-    while (true) {
-      XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
-      if (!more) break;
-      if (out.empty()) out.push_back(std::move(item));
-      if (bounded) {
-        ev.CountEarlyExit(ctx);
-        break;
-      }
+    XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
+    if (any) {
+      out.push_back(std::move(item));
+      ev.CountEarlyExit();
     }
     return out;
   }
@@ -920,12 +900,12 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
       if (pos >= from && pos < to) out.push_back(std::move(item));
       // Past the window: nothing later can match (to is monotone in pos;
       // NaN bounds keep every comparison false and drain harmlessly).
-      if (bounded && pos + 1 >= to) {
+      if (pos + 1 >= to) {
         stopped = true;
         break;
       }
     }
-    if (stopped) ev.CountEarlyExit(ctx);
+    if (stopped) ev.CountEarlyExit();
     return out;
   }
   if (fn == "count") {
@@ -935,7 +915,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
       if (!more) break;
       ++n;
     }
-    ev.CountBuffersAvoided(ctx);
+    ev.CountBuffersAvoided();
     return Sequence{Item::Integer(n)};
   }
   if (fn == "sum" || fn == "avg") {
@@ -961,7 +941,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
       }
       return Sequence{};
     }
-    ev.CountBuffersAvoided(ctx);
+    ev.CountBuffersAvoided();
     if (fn == "avg") {
       return Sequence{Item::Double(acc / static_cast<double>(n))};
     }
@@ -978,7 +958,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
       Sequence atoms = xdm::Atomize(Sequence{std::move(item)});
       for (Item& a : atoms) data.push_back(std::move(a));
     }
-    ev.CountMaterialized(ctx, data.size());
+    ev.CountMaterialized(data.size());
     if (data.empty()) return Sequence{};
     bool numeric = true;
     for (const Item& i : data) {

@@ -1,6 +1,8 @@
 #include "xquery/parser.h"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 #include <vector>
 
 #include "base/strings.h"
@@ -36,6 +38,41 @@ class ParserImpl {
   }
 
  private:
+  // -------------------------------------------------------- depth bound ---
+
+  // Nesting accounting. depth_ is the depth the production being parsed
+  // starts at; peak_ the deepest level reached since the innermost open
+  // Level began, i.e. the height of what it parsed. A recursive
+  // production (ExprSingle, a unary sign, a direct element's child, a
+  // full-text primary) nests its content one level deeper. A link of a
+  // left-deep operator chain (a + b + c …) wraps everything the chain
+  // parsed so far, so it sits one level above that peak.
+  class Level {
+   public:
+    explicit Level(ParserImpl* p)
+        : p_(p), depth_(p->depth_), outer_peak_(p->peak_) {
+      p_->peak_ = p_->depth_;
+    }
+    ~Level() {
+      p_->depth_ = depth_;
+      p_->peak_ = std::max(outer_peak_, p_->peak_);
+    }
+    Status Enter() { return Raise(++p_->depth_); }
+    Status Wrap() { return Raise(p_->peak_ + 1); }
+
+   private:
+    Status Raise(int level) {
+      p_->peak_ = std::max(p_->peak_, level);
+      if (p_->peak_ <= kMaxExprDepth) return Status();
+      return p_->Err("expression nested deeper than " +
+                     std::to_string(kMaxExprDepth) + " levels");
+    }
+
+    ParserImpl* p_;
+    int depth_;
+    int outer_peak_;
+  };
+
   // ------------------------------------------------------------ helpers ---
 
   const Token& Peek(size_t k = 0) { return lex_.Peek(k); }
@@ -407,6 +444,8 @@ class ParserImpl {
   }
 
   Result<ExprPtr> ParseExprSingle() {
+    Level level(this);
+    XQ_RETURN_NOT_OK(level.Enter());
     size_t start = Peek().pos;
     XQ_ASSIGN_OR_RETURN(ExprPtr e, ParseExprSingleBare());
     if (e != nullptr && e->source_pos == 0) e->source_pos = start;
@@ -477,6 +516,7 @@ class ParserImpl {
   }
 
   Result<ExprPtr> ParseOr() {
+    Level chain(this);
     XQ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (AtName("or")) {
       Next();
@@ -486,12 +526,14 @@ class ParserImpl {
       e->source_pos = lhs->source_pos;
       e->kids.push_back(std::move(lhs));
       e->kids.push_back(std::move(rhs));
+      XQ_RETURN_NOT_OK(chain.Wrap());
       lhs = std::move(e);
     }
     return lhs;
   }
 
   Result<ExprPtr> ParseAnd() {
+    Level chain(this);
     XQ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseComparison());
     while (AtName("and")) {
       Next();
@@ -501,6 +543,7 @@ class ParserImpl {
       e->source_pos = lhs->source_pos;
       e->kids.push_back(std::move(lhs));
       e->kids.push_back(std::move(rhs));
+      XQ_RETURN_NOT_OK(chain.Wrap());
       lhs = std::move(e);
     }
     return lhs;
@@ -547,6 +590,7 @@ class ParserImpl {
   }
 
   Result<std::unique_ptr<FtSelection>> ParseFtOr() {
+    Level chain(this);
     XQ_ASSIGN_OR_RETURN(auto lhs, ParseFtAnd());
     while (AtName("ftor")) {
       Next();
@@ -555,12 +599,14 @@ class ParserImpl {
       node->kind = FtSelection::Kind::kOr;
       node->kids.push_back(std::move(lhs));
       node->kids.push_back(std::move(rhs));
+      XQ_RETURN_NOT_OK(chain.Wrap());
       lhs = std::move(node);
     }
     return lhs;
   }
 
   Result<std::unique_ptr<FtSelection>> ParseFtAnd() {
+    Level chain(this);
     XQ_ASSIGN_OR_RETURN(auto lhs, ParseFtPrimary());
     while (AtName("ftand")) {
       Next();
@@ -569,12 +615,15 @@ class ParserImpl {
       node->kind = FtSelection::Kind::kAnd;
       node->kids.push_back(std::move(lhs));
       node->kids.push_back(std::move(rhs));
+      XQ_RETURN_NOT_OK(chain.Wrap());
       lhs = std::move(node);
     }
     return lhs;
   }
 
   Result<std::unique_ptr<FtSelection>> ParseFtPrimary() {
+    Level level(this);
+    XQ_RETURN_NOT_OK(level.Enter());
     if (AtName("ftnot")) {
       Next();
       XQ_ASSIGN_OR_RETURN(auto inner, ParseFtPrimary());
@@ -619,6 +668,7 @@ class ParserImpl {
   }
 
   Result<ExprPtr> ParseAdditive() {
+    Level chain(this);
     XQ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
     while (AtSymbol("+") || AtSymbol("-")) {
       ArithOp op = AtSymbol("+") ? ArithOp::kAdd : ArithOp::kSub;
@@ -629,12 +679,14 @@ class ParserImpl {
       e->source_pos = lhs->source_pos;
       e->kids.push_back(std::move(lhs));
       e->kids.push_back(std::move(rhs));
+      XQ_RETURN_NOT_OK(chain.Wrap());
       lhs = std::move(e);
     }
     return lhs;
   }
 
   Result<ExprPtr> ParseMultiplicative() {
+    Level chain(this);
     XQ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnion());
     while (true) {
       ArithOp op;
@@ -650,12 +702,14 @@ class ParserImpl {
       e->source_pos = lhs->source_pos;
       e->kids.push_back(std::move(lhs));
       e->kids.push_back(std::move(rhs));
+      XQ_RETURN_NOT_OK(chain.Wrap());
       lhs = std::move(e);
     }
     return lhs;
   }
 
   Result<ExprPtr> ParseUnion() {
+    Level chain(this);
     XQ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseIntersectExcept());
     while (AtSymbol("|") || AtName("union")) {
       Next();
@@ -665,12 +719,14 @@ class ParserImpl {
       e->source_pos = lhs->source_pos;
       e->kids.push_back(std::move(lhs));
       e->kids.push_back(std::move(rhs));
+      XQ_RETURN_NOT_OK(chain.Wrap());
       lhs = std::move(e);
     }
     return lhs;
   }
 
   Result<ExprPtr> ParseIntersectExcept() {
+    Level chain(this);
     XQ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseInstanceOf());
     while (AtName("intersect") || AtName("except")) {
       std::string op = Next().text;
@@ -680,6 +736,7 @@ class ParserImpl {
       e->source_pos = lhs->source_pos;
       e->kids.push_back(std::move(lhs));
       e->kids.push_back(std::move(rhs));
+      XQ_RETURN_NOT_OK(chain.Wrap());
       lhs = std::move(e);
     }
     return lhs;
@@ -701,6 +758,7 @@ class ParserImpl {
   }
 
   Result<ExprPtr> ParseTreatCastable() {
+    Level chain(this);
     XQ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseCast());
     while (true) {
       std::string op;
@@ -714,6 +772,7 @@ class ParserImpl {
       e->source_pos = lhs->source_pos;
       XQ_ASSIGN_OR_RETURN(e->seq_type, ParseSequenceType());
       e->kids.push_back(std::move(lhs));
+      XQ_RETURN_NOT_OK(chain.Wrap());
       lhs = std::move(e);
     }
     return lhs;
@@ -736,6 +795,8 @@ class ParserImpl {
 
   Result<ExprPtr> ParseUnary() {
     if (AtSymbol("-") || AtSymbol("+")) {
+      Level level(this);
+      XQ_RETURN_NOT_OK(level.Enter());
       size_t start = Peek().pos;
       ArithOp op = AtSymbol("-") ? ArithOp::kSub : ArithOp::kAdd;
       Next();
@@ -1196,6 +1257,8 @@ class ParserImpl {
 
   Result<std::unique_ptr<DirectNode>> ScanElement() {
     assert(RawPeek() == '<');
+    Level level(this);
+    XQ_RETURN_NOT_OK(level.Enter());
     ++rpos_;
     XQ_ASSIGN_OR_RETURN(std::string raw_name, ScanRawName());
     auto node = std::make_unique<DirectNode>();
@@ -1838,6 +1901,8 @@ class ParserImpl {
   // Raw-scan state for direct constructors.
   std::string_view raw_;
   size_t rpos_ = 0;
+  int depth_ = 0;
+  int peak_ = 0;
 };
 
 }  // namespace

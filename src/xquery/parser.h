@@ -30,6 +30,16 @@
 
 namespace xqib::xquery {
 
+// Deepest expression nesting the parser accepts: recursive-descent
+// levels plus the links of left-deep operator chains (a + b + c …). The
+// parser, the analysis passes and the tree-walking evaluator recurse
+// about once per level, and the page server parses client page scripts
+// on shared threads, so deeper input is an XPST0003 error instead of a
+// stack overflow. Lower than xml::kMaxElementDepth because one level
+// here is a whole recursive-descent cascade: an unoptimized ASan build
+// overflows an 8 MB stack at about 300 parenthesised levels.
+inline constexpr int kMaxExprDepth = 200;
+
 // Parses a main or library module. Statically resolves QNames against the
 // prolog's namespace declarations plus the built-in bindings (xs, fn,
 // local, browser, http).

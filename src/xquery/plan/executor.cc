@@ -11,7 +11,6 @@
 #include "xdm/item.h"
 #include "xquery/evaluator.h"
 #include "xquery/plan/plan.h"
-#include "xquery/profiler.h"
 #include "xquery/value_ops.h"
 
 namespace xqib::xquery::plan {
@@ -32,9 +31,6 @@ struct PlanEvaluatorAccess {
   static bool TryFastCount(Evaluator& ev, const Expr& arg,
                            DynamicContext& ctx, int64_t* out) {
     return ev.TryFastCount(arg, ctx, out);
-  }
-  static const Evaluator::EvalOptions& Options(const Evaluator& ev) {
-    return ev.options_;
   }
   static Evaluator::EvalStats& Stats(Evaluator& ev) { return ev.stats_; }
   static bool Exited(const Evaluator& ev) { return ev.exit_flag_; }
@@ -113,7 +109,7 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
         XQ_ASSIGN_OR_RETURN(int64_t hi, hi_a.ToInteger());
         if (hi >= lo) dst.reserve(static_cast<size_t>(hi - lo + 1));
         for (int64_t v = lo; v <= hi; ++v) dst.push_back(Item::Integer(v));
-        ev.CountMaterialized(ctx, dst.size());
+        ev.CountMaterialized(dst.size());
         break;
       }
       case OpCode::kArithInt: {
@@ -252,9 +248,6 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
         (*regs)[op.dst] = Access::Exited(ev) ? ev.TakeExitValue()
                                              : std::move(*r);
         ++Access::Stats(ev).plan_hits;
-        if (ctx.profiler != nullptr) {
-          ++ctx.profiler->fast_path().plan_hits;
-        }
         break;
       }
       case OpCode::kCallDyn: {
@@ -270,23 +263,13 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
       }
       case OpCode::kPathIndexed: {
         const Expr& path = *fp.exprs[op.imm];
-        bool hit = false;
-        if (Access::Options(ev).use_name_index) {
-          XQ_ASSIGN_OR_RETURN(Sequence origin,
-                              Access::PathInput(ev, path, ctx));
-          if (Access::TryIndexedStep(ev, path.steps[0], origin,
-                                     &(*regs)[op.dst])) {
-            hit = true;
-            Evaluator::EvalStats& stats = Access::Stats(ev);
-            ++stats.name_index_hits;
-            ++stats.sorts_elided;
-            if (ctx.profiler != nullptr) {
-              ++ctx.profiler->fast_path().name_index_hits;
-              ++ctx.profiler->fast_path().sorts_elided;
-            }
-          }
-        }
-        if (!hit) {
+        XQ_ASSIGN_OR_RETURN(Sequence origin, Access::PathInput(ev, path, ctx));
+        if (Access::TryIndexedStep(ev, path.steps[0], origin,
+                                   &(*regs)[op.dst])) {
+          Evaluator::EvalStats& stats = Access::Stats(ev);
+          ++stats.name_index_hits;
+          ++stats.sorts_elided;
+        } else {
           XQ_ASSIGN_OR_RETURN((*regs)[op.dst], ev.Eval(path, ctx));
         }
         break;
@@ -296,8 +279,7 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
         int64_t n = 0;
         // Runtime re-check of the shadowing the compiler could not rule
         // out statically: a host external registered under fn:count.
-        if (Access::Options(ev).use_name_index &&
-            ctx.FindExternal(fp.names[op.b], 1) == nullptr &&
+        if (ctx.FindExternal(fp.names[op.b], 1) == nullptr &&
             Access::TryFastCount(ev, *call.kids[0], ctx, &n)) {
           AssignSingle(&(*regs)[op.dst], Item::Integer(n));
           break;

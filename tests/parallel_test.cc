@@ -637,14 +637,13 @@ std::string UpdaterPage(bool interfering) {
 }
 
 DispatchOutcome RunUpdaterScenario(size_t workers, bool interfering,
-                                   bool fine_grained, int clicks) {
+                                   int clicks) {
   net::HttpFabric fabric;
   net::XmlStore store;
   net::ServiceHost services(&fabric, &store);
   browser::Browser browser;
   plugin::XqibPlugin plugin(&browser, &fabric, &services);
   plugin.Install();
-  plugin.set_fine_grained_invalidation(fine_grained);
   plugin.EnableParallelDispatch(workers);
   Status st = browser.top_window()->LoadSource(
       "http://app.example.com/index.xhtml", UpdaterPage(interfering));
@@ -760,11 +759,11 @@ TEST(DispatchDeterminism, AsyncFederationIsUnobservableAtEveryPoolSize) {
 
 TEST(DispatchDeterminism, DisjointUpdatersStageBitIdentically) {
   const std::vector<std::string> expected_alerts{"t=1:1", "t=2:2", "t=3:3"};
-  DispatchOutcome reference = RunUpdaterScenario(0, false, true, 3);
+  DispatchOutcome reference = RunUpdaterScenario(0, false, 3);
   EXPECT_EQ(reference.staged, 0u);  // no pool, no staging
   EXPECT_EQ(reference.alerts, expected_alerts);
   for (size_t workers : {1u, 4u, 8u}) {
-    DispatchOutcome got = RunUpdaterScenario(workers, false, true, 3);
+    DispatchOutcome got = RunUpdaterScenario(workers, false, 3);
     EXPECT_EQ(got.alerts, reference.alerts) << "workers " << workers;
     EXPECT_EQ(got.dom, reference.dom) << "workers " << workers;
     EXPECT_EQ(got.fallbacks, 0u) << "workers " << workers;
@@ -778,24 +777,13 @@ TEST(DispatchDeterminism, DisjointUpdatersStageBitIdentically) {
 TEST(DispatchDeterminism, InterferingUpdatersStaySerial) {
   // Both updaters write loga: the conflict matrix (writes ∩ writes)
   // must veto staging entirely — every run collapses to size one.
-  DispatchOutcome reference = RunUpdaterScenario(0, true, true, 3);
+  DispatchOutcome reference = RunUpdaterScenario(0, true, 3);
   for (size_t workers : {4u, 8u}) {
-    DispatchOutcome got = RunUpdaterScenario(workers, true, true, 3);
+    DispatchOutcome got = RunUpdaterScenario(workers, true, 3);
     EXPECT_EQ(got.alerts, reference.alerts) << "workers " << workers;
     EXPECT_EQ(got.dom, reference.dom) << "workers " << workers;
     EXPECT_EQ(got.staged, 0u) << "workers " << workers;
   }
-}
-
-TEST(DispatchDeterminism, AblationKeepsUpdatersOnTheSerialPath) {
-  // set_fine_grained_invalidation(false) restores the pre-effect-
-  // analysis behavior: updating listeners never stage, results
-  // unchanged.
-  DispatchOutcome reference = RunUpdaterScenario(0, false, true, 3);
-  DispatchOutcome got = RunUpdaterScenario(4, false, false, 3);
-  EXPECT_EQ(got.alerts, reference.alerts);
-  EXPECT_EQ(got.dom, reference.dom);
-  EXPECT_EQ(got.staged, 0u);
 }
 
 // ------------------------------------------ memo under staged probes ---

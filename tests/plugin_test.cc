@@ -173,32 +173,6 @@ TEST_F(PluginTest, EventStatsDoNotLeakAcrossDispatches) {
   EXPECT_EQ(second.buffers_avoided, first.buffers_avoided);
 }
 
-TEST_F(PluginTest, SetEvalOptionsDisablesFastPaths) {
-  Window* w = Load(R"(<html><body>
-      <input type="button" id="b" value="Go"/>
-      <div id="log"/>
-      <script type="text/xquery">
-      declare updating function local:onClick($evt, $obj) {
-        insert node <hit n="{count(//hit) + 1}"/>
-          into //div[@id="log"]
-      };
-      on event "onclick" at //input[@id="b"] attach listener local:onClick
-      </script></body></html>)");
-  xquery::Evaluator::EvalOptions off;
-  off.honor_sort_elision = false;
-  off.use_name_index = false;
-  off.bounded_eval = false;
-  plugin_.set_eval_options(off);
-  Click(ById(w, "b"));
-  EXPECT_EQ(plugin_.last_event_stats().sorts_elided, 0u);
-  EXPECT_EQ(plugin_.last_event_stats().name_index_hits, 0u);
-  EXPECT_EQ(plugin_.last_event_stats().early_exits, 0u);
-  EXPECT_GT(plugin_.last_event_stats().sorts_performed, 0u);
-  // Results are identical with the fast paths off.
-  EXPECT_EQ(xml::Serialize(ById(w, "log")),
-            "<div id=\"log\"><hit n=\"1\"/></div>");
-}
-
 TEST_F(PluginTest, EventListenerReceivesEventNodeAndTarget) {
   Window* w = Load(R"(<html><body>
       <input id="b" value="x"/>

@@ -118,12 +118,12 @@ TEST(Profiler, TracksPathFastPathCounters) {
   auto r = (*q)->Run(ctx);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(xdm::SequenceToString(*r), "5");
-  EXPECT_GT(profiler.fast_path().sorts_elided, 0u);
-  EXPECT_GT(profiler.fast_path().name_index_hits, 0u);
-  EXPECT_GT(profiler.fast_path().early_exits, 0u);
+  EXPECT_GT(profiler.stats().sorts_elided, 0u);
+  EXPECT_GT(profiler.stats().name_index_hits, 0u);
+  EXPECT_GT(profiler.stats().early_exits, 0u);
   EXPECT_NE(profiler.Report().find("path fast path"), std::string::npos);
   profiler.Clear();
-  EXPECT_EQ(profiler.fast_path().sorts_elided, 0u);
+  EXPECT_EQ(profiler.stats().sorts_elided, 0u);
 }
 
 TEST(Profiler, NoProfilerMeansNoOverheadPath) {

@@ -18,6 +18,7 @@
 #include "net/xml_store.h"
 #include "server/server.h"
 #include "xdm/item.h"
+#include "xquery/parser.h"
 #include "xquery/plan/plan.h"
 
 namespace xqib {
@@ -205,6 +206,53 @@ TEST(ServerSmoke, DeeplyNestedEventBodyIsAnErrorNotACrash) {
   ASSERT_TRUE(dom.ok());
   EXPECT_NE(dom->body.find("<p>mouse</p>"), std::string::npos) << dom->body;
   EXPECT_EQ(dom->body.find("<p>keyboard</p>"), std::string::npos);
+}
+
+TEST(ServerSmoke, DeeplyNestedPageScriptIsAnErrorNotACrash) {
+  auto srv = MakeCartServer(0);
+  srv->InstallHttpFrontEnd(&srv->backend(), "http://server.local");
+  net::HttpFabric& web = srv->backend();
+  auto created =
+      web.Perform({"POST", "http://server.local/sessions", kCartPage});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_EQ(created->body, "<session id=\"s1\"/>");
+
+  // Client page scripts 3,000 parentheses deep and 30,000 terms long
+  // used to overflow the XQuery parser's (or evaluator's) stack and take
+  // the whole shared process down.
+  auto page = [](const std::string& query) {
+    return "<html><head><script type=\"text/xqueryp\"><![CDATA[\n" +
+           query + "\n]]></script></head><body/></html>";
+  };
+  auto parens = [](int depth) {
+    return std::string(depth, '(') + "1" + std::string(depth, ')');
+  };
+  std::string chain = "1";
+  for (int i = 1; i < 30000; ++i) chain += "+1";
+  for (const std::string& query : {parens(3000), chain}) {
+    auto deep =
+        web.Perform({"POST", "http://server.local/sessions", page(query)});
+    ASSERT_TRUE(deep.ok()) << deep.status().ToString();
+    EXPECT_EQ(deep->status, 400);
+    EXPECT_NE(deep->body.find("XPST0003"), std::string::npos) << deep->body;
+  }
+  EXPECT_EQ(srv->session_count(), 1u);
+
+  // The deepest script the bound accepts still loads and runs.
+  auto deepest = web.Perform(
+      {"POST", "http://server.local/sessions",
+       page(parens(xquery::kMaxExprDepth - 1))});
+  ASSERT_TRUE(deepest.ok()) << deepest.status().ToString();
+  EXPECT_EQ(deepest->status, 201) << deepest->body;
+
+  // The other session still dispatches.
+  auto fired = web.Perform({"POST", "http://server.local/sessions/s1/events",
+                            "<event type=\"onclick\" target=\"mouse\"/>"});
+  ASSERT_TRUE(fired.ok());
+  EXPECT_EQ(fired->status, 200);
+  auto dom = web.Get("http://server.local/sessions/s1/dom");
+  ASSERT_TRUE(dom.ok());
+  EXPECT_NE(dom->body.find("<p>mouse</p>"), std::string::npos) << dom->body;
 }
 
 // ---------------------------------------------- sharing vs isolation ---

@@ -242,17 +242,14 @@ TEST(Paths, PathFromAtomicFails) {
 
 // ------------------------------------------------- path fast paths ---
 
-// Evaluates `query` with explicit evaluator options (the fast-path
-// ablation switches) and returns the result string; on success the
-// evaluator's fast-path counters are copied into *stats if given.
-std::string EvalWithOptions(const std::string& query,
-                            const std::string& context_xml,
-                            const Evaluator::EvalOptions& options,
-                            Evaluator::EvalStats* stats = nullptr) {
+// Evaluates `query` and returns the result string; on success the
+// evaluator's fast-path counters are copied into *stats.
+std::string EvalWithStats(const std::string& query,
+                          const std::string& context_xml,
+                          Evaluator::EvalStats* stats) {
   Engine engine;
   auto compiled = engine.Compile(query);
   if (!compiled.ok()) return "PARSE-ERROR: " + compiled.status().ToString();
-  (*compiled)->evaluator().set_options(options);
   DynamicContext ctx;
   std::unique_ptr<xml::Document> doc;
   if (!context_xml.empty()) {
@@ -270,16 +267,8 @@ std::string EvalWithOptions(const std::string& query,
   if (!bound.ok()) return "BIND-ERROR: " + bound.ToString();
   auto result = (*compiled)->Run(ctx);
   if (!result.ok()) return "ERROR: " + result.status().ToString();
-  if (stats != nullptr) *stats = (*compiled)->evaluator().stats();
+  *stats = (*compiled)->evaluator().stats();
   return xdm::SequenceToString(*result);
-}
-
-Evaluator::EvalOptions AllFastPathsOff() {
-  Evaluator::EvalOptions off;
-  off.honor_sort_elision = false;
-  off.use_name_index = false;
-  off.bounded_eval = false;
-  return off;
 }
 
 // Satellite regression: position 1 on a reverse axis is the *nearest*
@@ -295,76 +284,78 @@ TEST(FastPaths, ReverseAxisPositionalPredicates) {
             "book");
 }
 
-// Every fast path on vs every fast path off must agree — the elision
-// and bounded-evaluation machinery is observationally pure.
+// The fast paths are observationally pure: each query returns the
+// result the forced-sort engine (no elision, no name index, no early
+// exit) returned, and the counters show which paths fired.
 TEST(FastPaths, AgreeWithForcedSortOracle) {
-  const char* queries[] = {
-      "/books/book/title",
-      "//book/author",
-      "count(//author)",
-      "//book/@year",
-      "string-join(//book/title, '|')",
-      "(//author)[1]",
-      "(//author)[last()]",
-      "//book[price > 20]/title",
-      "exists(//price)",
-      "exists(//nothing)",
-      "empty(//nothing)",
-      "//price/preceding-sibling::title",
-      "count(//author[1]/ancestor::*)",
-      "(//title | //price)[1]",
-      "//book/descendant-or-self::*/title",
+  struct Case {
+    const char* query;
+    const char* result;
+    uint64_t sorts_elided, sorts_performed, name_index_hits, early_exits;
   };
-  for (const char* q : queries) {
-    EXPECT_EQ(EvalWithOptions(q, kBooks, Evaluator::EvalOptions()),
-              EvalWithOptions(q, kBooks, AllFastPathsOff()))
-        << "query: " << q;
+  const Case cases[] = {
+      {"/books/book/title",
+       "Dogs and cats Query languages The dog barked", 3, 0, 0, 0},
+      {"//book/author", "Ann Bob Cid Dan", 1, 1, 1, 0},
+      {"count(//author)", "4", 0, 0, 1, 0},
+      {"//book/@year", "2005 2007 2008", 2, 0, 1, 0},
+      {"string-join(//book/title, '|')",
+       "Dogs and cats|Query languages|The dog barked", 1, 1, 1, 0},
+      {"(//author)[1]", "Ann", 1, 0, 1, 1},
+      {"(//author)[last()]", "Dan", 1, 0, 1, 1},
+      {"//book[price > 20]/title", "Query languages The dog barked", 4, 2,
+       0, 0},
+      {"exists(//price)", "true", 1, 0, 1, 1},
+      {"exists(//nothing)", "false", 1, 0, 1, 0},
+      {"empty(//nothing)", "true", 1, 0, 1, 0},
+      {"//price/preceding-sibling::title",
+       "Dogs and cats Query languages The dog barked", 1, 1, 1, 0},
+      {"count(//author[1]/ancestor::*)", "4", 1, 2, 0, 0},
+      {"(//title | //price)[1]", "Dogs and cats", 2, 0, 2, 1},
+      {"//book/descendant-or-self::*/title",
+       "Dogs and cats Query languages The dog barked", 1, 2, 1, 0},
+  };
+  for (const Case& c : cases) {
+    Evaluator::EvalStats stats;
+    EXPECT_EQ(EvalWithStats(c.query, kBooks, &stats), c.result)
+        << "query: " << c.query;
+    EXPECT_EQ(stats.sorts_elided, c.sorts_elided) << "query: " << c.query;
+    EXPECT_EQ(stats.sorts_performed, c.sorts_performed)
+        << "query: " << c.query;
+    EXPECT_EQ(stats.name_index_hits, c.name_index_hits)
+        << "query: " << c.query;
+    EXPECT_EQ(stats.early_exits, c.early_exits) << "query: " << c.query;
   }
 }
 
 TEST(FastPaths, SortElisionCounters) {
   Evaluator::EvalStats stats;
   // A pure child chain from the root never needs sorting.
-  EXPECT_EQ(EvalWithOptions("/books/book/title", kBooks,
-                            Evaluator::EvalOptions(), &stats),
+  EXPECT_EQ(EvalWithStats("/books/book/title", kBooks, &stats),
             "Dogs and cats Query languages The dog barked");
-  EXPECT_GT(stats.sorts_elided, 0u);
+  EXPECT_EQ(stats.sorts_elided, 3u);
   EXPECT_EQ(stats.sorts_performed, 0u);
-
-  // With elision disabled the same query pays for every step.
-  EXPECT_EQ(EvalWithOptions("/books/book/title", kBooks, AllFastPathsOff(),
-                            &stats),
-            "Dogs and cats Query languages The dog barked");
-  EXPECT_EQ(stats.sorts_elided, 0u);
-  EXPECT_GT(stats.sorts_performed, 0u);
+  // A reverse axis from many origins must sort and dedup.
+  EXPECT_EQ(EvalWithStats("count(//author[1]/ancestor::*)", kBooks, &stats),
+            "4");
+  EXPECT_EQ(stats.sorts_performed, 2u);
 }
 
 TEST(FastPaths, NameIndexCounters) {
   Evaluator::EvalStats stats;
-  EXPECT_EQ(EvalWithOptions("count(//author)", kBooks,
-                            Evaluator::EvalOptions(), &stats),
-            "4");
-  EXPECT_GT(stats.name_index_hits, 0u);
-  EXPECT_EQ(EvalWithOptions("count(//author)", kBooks, AllFastPathsOff(),
-                            &stats),
-            "4");
-  EXPECT_EQ(stats.name_index_hits, 0u);
+  EXPECT_EQ(EvalWithStats("count(//author)", kBooks, &stats), "4");
+  EXPECT_EQ(stats.name_index_hits, 1u);
+  EXPECT_EQ(stats.count_index_hits, 1u);
 }
 
 TEST(FastPaths, EarlyExitCounters) {
   Evaluator::EvalStats stats;
-  EXPECT_EQ(EvalWithOptions("exists(//author)", kBooks,
-                            Evaluator::EvalOptions(), &stats),
-            "true");
-  EXPECT_GT(stats.early_exits, 0u);
-  EXPECT_EQ(EvalWithOptions("(//author)[1]", kBooks,
-                            Evaluator::EvalOptions(), &stats),
-            "Ann");
-  EXPECT_GT(stats.early_exits, 0u);
-  EXPECT_EQ(EvalWithOptions("(//author)[last()]", kBooks,
-                            Evaluator::EvalOptions(), &stats),
-            "Dan");
-  EXPECT_GT(stats.early_exits, 0u);
+  EXPECT_EQ(EvalWithStats("exists(//author)", kBooks, &stats), "true");
+  EXPECT_EQ(stats.early_exits, 1u);
+  EXPECT_EQ(EvalWithStats("(//author)[1]", kBooks, &stats), "Ann");
+  EXPECT_EQ(stats.early_exits, 1u);
+  EXPECT_EQ(EvalWithStats("(//author)[last()]", kBooks, &stats), "Dan");
+  EXPECT_EQ(stats.early_exits, 1u);
 }
 
 // The index must not be consulted when the step carries a wildcard or a
@@ -372,13 +363,10 @@ TEST(FastPaths, EarlyExitCounters) {
 // in the same query (snapshot taken per evaluation).
 TEST(FastPaths, NameIndexScopeLimits) {
   Evaluator::EvalStats stats;
-  EXPECT_EQ(EvalWithOptions("count(//*)", kBooks, Evaluator::EvalOptions(),
-                            &stats),
-            "14");
+  EXPECT_EQ(EvalWithStats("count(//*)", kBooks, &stats), "14");
   EXPECT_EQ(stats.name_index_hits, 0u);
   // Steps from a mid-tree context node can't use the whole-doc index.
-  EXPECT_EQ(EvalWithOptions("count(/books/book[1]//author)", kBooks,
-                            Evaluator::EvalOptions(), &stats),
+  EXPECT_EQ(EvalWithStats("count(/books/book[1]//author)", kBooks, &stats),
             "1");
   EXPECT_EQ(stats.name_index_hits, 0u);
 }

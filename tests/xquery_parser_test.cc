@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "xquery/engine.h"
 #include "xquery/parser.h"
 
 namespace xqib::xquery {
@@ -25,6 +28,55 @@ TEST(ParserErrors, Syntax) {
   EXPECT_EQ(ParseErrorCode("'unterminated"), "XPST0003");
   EXPECT_EQ(ParseErrorCode("1 2"), "XPST0003");  // trailing content
   EXPECT_EQ(ParseErrorCode("declare variable $x 1; $x"), "XPST0003");
+}
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// Nesting and left-deep operator chains share one bound: the deepest
+// accepted form of each shape still compiles and evaluates (the
+// evaluator recurses per level too), one level more is XPST0003 rather
+// than a stack overflow.
+TEST(ParserErrors, ExpressionDepthIsBounded) {
+  const int n = kMaxExprDepth;
+  struct Shape {
+    std::string deepest;   // exactly kMaxExprDepth levels
+    std::string too_deep;  // one level more
+    std::string value;     // the deepest form's result
+  };
+  auto chain = [](int terms) {
+    std::string q = "1";
+    for (int i = 1; i < terms; ++i) q += "+1";
+    return q;
+  };
+  auto element = [](int depth) {
+    return Repeat("<a>", depth) + "x" + Repeat("</a>", depth);
+  };
+  const Shape shapes[] = {
+      // The top-level expression is one level; each parenthesis another.
+      {Repeat("(", n - 1) + "1" + Repeat(")", n - 1),
+       Repeat("(", n) + "1" + Repeat(")", n), "1"},
+      // Every `+` link wraps the chain so far.
+      {chain(n), chain(n + 1), std::to_string(n)},
+      {Repeat("-", n - 1) + "1", Repeat("-", n) + "1", "-1"},
+      {"string(" + element(n - 2) + ")", "string(" + element(n - 1) + ")",
+       "x"},
+  };
+  for (const Shape& shape : shapes) {
+    EXPECT_EQ(ParseErrorCode(shape.too_deep), "XPST0003")
+        << shape.too_deep.substr(0, 40);
+    Engine engine;
+    auto q = engine.Compile(shape.deepest);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    DynamicContext ctx;
+    auto r = (*q)->Run(ctx);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(xdm::SequenceToString(*r), shape.value)
+        << shape.deepest.substr(0, 40);
+  }
 }
 
 TEST(ParserErrors, MessagesCarryExactLineAndColumn) {
