@@ -387,8 +387,7 @@ Node* Document::NewNode(NodeKind kind) {
   Node* n;
   {
     // Staged updating listeners construct detached update content from
-    // pool workers; the deque push must not race them or the id-cache
-    // scan in GetElementById.
+    // pool workers; the deque push must not race them or RecomputeOrder.
     std::lock_guard<std::mutex> lk(alloc_mu_);
     nodes_.push_back(std::unique_ptr<Node>(new Node(this, kind)));
     n = nodes_.back().get();
@@ -480,25 +479,30 @@ Node* Document::GetElementById(std::string_view id) const {
   // dropped wholesale on every mutation and rebuilt on the next lookup —
   // lookup bursts between mutations (event handlers resolving targets)
   // are O(1), and correctness never depends on tracking which mutation
-  // touched which id. The first reader after a mutation rebuilds under
-  // lazy_mu_ and publishes with a release store; validated readers skip
-  // the lock entirely (mutation cannot interleave while workers read —
-  // the loop thread, the only mutator, is barriered).
+  // touched which id. The rebuild walks the attached tree only, so its
+  // cost does not grow with the deleted and detached nodes a long
+  // session accumulates. The first reader after a mutation rebuilds
+  // under lazy_mu_ and publishes with a release store; validated readers
+  // skip the lock entirely (mutation cannot interleave while workers
+  // read — the loop thread, the only mutator, is barriered).
   const uint64_t mv = mutation_version();
   if (id_cache_version_.load(std::memory_order_acquire) != mv) {
     std::lock_guard<std::mutex> lk(lazy_mu_);
     if (id_cache_version_.load(std::memory_order_relaxed) != mv) {
       id_cache_.clear();
-      // The scan walks the whole node pool, which concurrent staged
-      // updaters may be growing; hold alloc_mu_ (always after lazy_mu_).
-      std::lock_guard<std::mutex> alk(alloc_mu_);
-      for (const auto& n : nodes_) {
-        if (n->kind() == NodeKind::kElement && n->parent() != nullptr) {
-          const Node* a = n->FindAttribute("id");
-          if (a != nullptr && !a->value().empty() && n->Root() == root_) {
-            id_cache_.emplace(a->value(), n.get());  // first wins
-          }
+      // Preorder with an explicit stack: the first element in document
+      // order claims each id.
+      std::vector<const Node*> stack(root_->children_.rbegin(),
+                                     root_->children_.rend());
+      while (!stack.empty()) {
+        const Node* n = stack.back();
+        stack.pop_back();
+        if (n->kind_ != NodeKind::kElement) continue;
+        const Node* a = n->FindAttribute("id");
+        if (a != nullptr && !a->value().empty()) {
+          id_cache_.emplace(a->value(), const_cast<Node*>(n));
         }
+        stack.insert(stack.end(), n->children_.rbegin(), n->children_.rend());
       }
       id_cache_version_.store(mv, std::memory_order_release);
     }
@@ -508,11 +512,10 @@ Node* Document::GetElementById(std::string_view id) const {
 }
 
 const std::vector<Node*>& Document::ElementsByName(const QName& name) const {
-  // Same wholesale scheme as the id cache: renames, inserts, detaches and
-  // value edits all bump mutation_version_, so a stale index can never be
-  // observed. Rebuilding is one DFS of the attached tree; lookup bursts
-  // between mutations (the plug-in's per-event listener paths) are O(1)
-  // plus the size of the answer.
+  // Renames, inserts, detaches and value edits all bump
+  // mutation_version_, so a stale index can never be observed. Lookup
+  // bursts between mutations (the plug-in's per-event listener paths)
+  // are O(1) plus the size of the answer.
   static const std::vector<Node*> kNoNodes;
   const uint64_t mv = mutation_version();
   if (name_index_version_.load(std::memory_order_acquire) != mv) {
@@ -567,6 +570,27 @@ const std::vector<Node*>& Document::ElementsByName(const QName& name) const {
   }
   auto it = name_index_.find(name.token());
   return it == name_index_.end() ? kNoNodes : it->second;
+}
+
+std::optional<std::span<Node* const>> Document::ElementsByNameIn(
+    const QName& name, const Node* subtree) const {
+  if (subtree->document_ != this || !AttachedToRoot(subtree)) {
+    return std::nullopt;
+  }
+  const std::vector<Node*>& bucket = ElementsByName(name);
+  if (subtree == root_) return std::span<Node* const>(bucket);
+  // The subtree's keys run from its own to its preorder-last node's
+  // (attributes included, so no following node falls inside). Keys are
+  // read after ElementsByName has released lazy_mu_: OrderKey may take
+  // it to recompute stale keys.
+  const uint64_t first = subtree->OrderKey();
+  const uint64_t last = PreorderLast(subtree)->OrderKey();
+  auto lo = std::partition_point(
+      bucket.begin(), bucket.end(),
+      [first](const Node* n) { return n->OrderKey() < first; });
+  auto hi = std::partition_point(
+      lo, bucket.end(), [last](const Node* n) { return n->OrderKey() <= last; });
+  return std::span<Node* const>(lo, hi);
 }
 
 bool Document::TrySpliceNameIndex() const {
@@ -776,8 +800,7 @@ void Document::RecomputeOrder() const {
   uint64_t pool = 0;
   {
     // nodes_ may be growing under concurrent staged-updater allocation;
-    // lock order lazy_mu_ (held by our callers) then alloc_mu_ matches
-    // GetElementById.
+    // lock order is lazy_mu_ (held by our callers) then alloc_mu_.
     std::lock_guard<std::mutex> lk(alloc_mu_);
     pool = nodes_.size();
   }

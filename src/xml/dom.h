@@ -12,6 +12,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -199,18 +201,27 @@ class Document {
   // the copy is detached. Implements XQuery Update's copy-on-insert.
   Node* ImportCopy(const Node* src);
 
-  // The first attached element (in creation order) whose "id" attribute
-  // equals `id`, or nullptr. Backed by a lazily rebuilt cache that any
-  // mutation invalidates: lookup bursts between mutations are O(1).
+  // The first attached element in document order whose "id" attribute
+  // equals `id`, or nullptr (the DOM rule, and fn:id's). Backed by a
+  // cache that any mutation invalidates and the next lookup rebuilds in
+  // one DFS of the attached tree: lookup bursts between mutations are
+  // O(1), and detached or deleted nodes cost nothing.
   Node* GetElementById(std::string_view id) const;
 
   // All attached elements with expanded name `name`, in document order.
-  // Backed by a lazily rebuilt whole-tree index with the same wholesale
-  // invalidation scheme as the id cache: any mutation drops it, the next
-  // lookup rebuilds it in one DFS. The evaluator routes whole-tree
-  // descendant name steps (//name) through this so per-event path
-  // evaluation touches only matching nodes.
+  // Backed by a lazily maintained index: the next lookup after a
+  // mutation splices the recorded delta into the touched buckets (or
+  // rebuilds in one DFS when no exact delta exists).
   const std::vector<Node*>& ElementsByName(const QName& name) const;
+  // The elements of ElementsByName(name) inside `subtree` (itself
+  // included), still in document order. Buckets are sorted by order key
+  // and a subtree's nodes hold one contiguous key range, so two binary
+  // searches cut the span. nullopt when `subtree` is not attached (the
+  // index holds only the attached tree). The evaluator answers every
+  // descendant name step from an attached origin with this; the span
+  // stays valid until the next mutation.
+  std::optional<std::span<Node* const>> ElementsByNameIn(
+      const QName& name, const Node* subtree) const;
   // Number of times the name index has been (re)built (tests/benchmarks).
   uint64_t name_index_builds() const { return name_index_builds_; }
 
@@ -350,13 +361,10 @@ class Document {
   std::atomic<uint64_t> next_tree_id_{1};
   std::vector<MutationHook> mutation_hooks_;
 
-  // Guards nodes_ (and the id-cache scan over it): staged updating
-  // listeners allocate detached update content into the page document
-  // from pool workers concurrently. Node FIELDS need no lock — a
-  // worker's fresh nodes are unreachable from the attached tree, and
-  // the only whole-pool scan (GetElementById) can only run concurrently
-  // from a listener whose read set is ⊤, which the interference gate
-  // keeps out of any staged run containing an updater.
+  // Guards nodes_: staged updating listeners allocate detached update
+  // content into the page document from pool workers concurrently. Node
+  // FIELDS need no lock — a worker's fresh nodes are unreachable from the
+  // attached tree, which is all that the lazy caches walk.
   mutable std::mutex alloc_mu_;
 
   // Per-name mutation counters (fine-grained mode; see accessors).

@@ -1092,93 +1092,32 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
 
   size_t start = 0;
   xdm::StreamPtr s;
-  // First-step name-index shortcut: //name answers straight from the
+  // First-step name-index shortcut: a descendant name step from one
+  // attached node answers from the origin's subtree span of the
   // document's element index — already in doc order, duplicate-free.
-  // With a worker pool, //name[pred] also qualifies: the bucket is
-  // partitioned across the pool and each slice filters with globally
-  // correct position()/last() (ParallelStepStream path).
+  // The step has one origin, so predicate positions over the span are
+  // its real descendant-axis positions; large spans filter across the
+  // worker pool.
   if (current.size() == 1 && current[0].is_node()) {
-    bool skip_origin = false;
-    const std::vector<xml::Node*>* bucket =
-        IndexedStepBucket(e.steps[0], current[0].node(), &skip_origin);
-    size_t consumed = 1;
-    const std::vector<ExprPtr>* preds =
-        bucket != nullptr ? &e.steps[0].predicates : nullptr;
-    // A collapsed descendant::name step has one origin, so predicate
-    // positions over the bucket are the real XPath positions. The
-    // uncollapsed `//name[preds]` form below does NOT: there the child
-    // step re-positions per parent, so only position-free predicates may
-    // run over the bucket (TryParallelPredicate abandons at runtime on a
-    // numeric predicate value).
-    bool global_positions = true;
-    if (bucket == nullptr && e.steps.size() >= 2 &&
-        e.steps[0].axis == Axis::kDescendantOrSelf &&
-        e.steps[0].test.kind == NodeTest::Kind::kAnyKind &&
-        e.steps[0].predicates.empty() && e.steps[1].axis == Axis::kChild) {
-      // `//name[preds]`: descendant-or-self::node()/child::name equals
-      // descendant::name, and the whole-tree descendant bucket is the
-      // element-name index (already doc-ordered, duplicate-free).
-      Step synth;
-      synth.axis = Axis::kDescendant;
-      synth.test = e.steps[1].test;
-      bucket = IndexedStepBucket(synth, current[0].node(), &skip_origin);
-      if (bucket != nullptr) {
-        consumed = 2;
-        preds = &e.steps[1].predicates;
-        global_positions = false;
-      }
-    }
-    if (bucket != nullptr) {
-      xml::Node* origin = current[0].node();
+    std::optional<std::span<xml::Node* const>> bucket =
+        IndexedStepBucket(e.steps[0], current[0].node());
+    if (bucket) {
       Sequence hits;
       hits.reserve(bucket->size());
-      for (xml::Node* h : *bucket) {
-        if (skip_origin && h == origin) continue;
-        hits.push_back(Item::Node(h));
-      }
-      bool handled = preds->empty();
-      if (!handled && options_.parallel_streams && pool_ != nullptr &&
-          pool_->size() > 0 && hits.size() >= options_.parallel_cutoff) {
-        bool safe = true;
-        for (const ExprPtr& pred : *preds) {
-          if (!ParallelSafePredicate(*pred)) {
-            safe = false;
-            break;
-          }
+      for (xml::Node* h : *bucket) hits.push_back(Item::Node(h));
+      for (const ExprPtr& pred : e.steps[0].predicates) {
+        Result<Sequence> filtered = Sequence{};
+        if (!TryParallelPredicate(*pred, hits, ctx, &filtered)) {
+          filtered = ApplyOnePredicate(*pred, std::move(hits), ctx);
         }
-        if (safe) {
-          Sequence work = std::move(hits);
-          bool all = true;
-          for (const ExprPtr& pred : *preds) {
-            Result<Sequence> filtered = Sequence{};
-            if (!TryParallelPredicate(*pred, work, ctx, global_positions,
-                                      &filtered)) {
-              all = false;
-              break;
-            }
-            XQ_RETURN_NOT_OK(filtered.status());
-            work = std::move(filtered).value();
-          }
-          if (all) {
-            hits = std::move(work);
-            handled = true;
-          } else {
-            // Rebuild: `hits` was consumed by the abandoned attempt.
-            hits.clear();
-            for (xml::Node* h : *bucket) {
-              if (skip_origin && h == origin) continue;
-              hits.push_back(Item::Node(h));
-            }
-          }
-        }
+        XQ_RETURN_NOT_OK(filtered.status());
+        hits = std::move(filtered).value();
       }
-      if (handled) {
-        ++stats_.name_index_hits;
-        ++stats_.sorts_elided;
-        CountMaterialized(hits.size());
-        s = xdm::SequenceStream(std::move(hits), ctx.arena());
-        start = consumed;
-      }
+      ++stats_.name_index_hits;
+      ++stats_.sorts_elided;
+      CountMaterialized(hits.size());
+      s = xdm::SequenceStream(std::move(hits), ctx.arena());
+      start = 1;
     }
   }
   if (s == nullptr) s = xdm::SequenceStream(std::move(current), ctx.arena());
@@ -1202,12 +1141,11 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
   return s;
 }
 
-const std::vector<xml::Node*>* Evaluator::IndexedStepBucket(
-    const Step& step, xml::Node* origin, bool* skip_origin) {
-  *skip_origin = false;
+std::optional<std::span<xml::Node* const>> Evaluator::IndexedStepBucket(
+    const Step& step, xml::Node* origin) {
   if (step.axis != Axis::kDescendant &&
       step.axis != Axis::kDescendantOrSelf) {
-    return nullptr;
+    return std::nullopt;
   }
   // Exact element-name tests only (wildcards would need the full walk).
   const NodeTest& t = step.test;
@@ -1215,49 +1153,32 @@ const std::vector<xml::Node*>* Evaluator::IndexedStepBucket(
                      t.kind == NodeTest::Kind::kElement) &&
                     !t.any_name && !t.any_ns && !t.any_local &&
                     !t.name.local().empty();
-  if (!exact_name) return nullptr;
-  xml::Document* doc = origin->document();
-  // Whole-tree steps only: from the document node, or from the document
-  // element when it is the root's only element child (then its
-  // descendants are every other attached element).
-  bool from_doc = origin == doc->root();
-  bool from_doc_elem = false;
-  if (!from_doc && origin->is_element() && origin->parent() == doc->root()) {
-    from_doc_elem = true;
-    for (const xml::Node* c : doc->root()->children()) {
-      if (c->is_element() && c != origin) {
-        from_doc_elem = false;
-        break;
-      }
-    }
+  if (!exact_name) return std::nullopt;
+  std::optional<std::span<xml::Node* const>> span =
+      origin->document()->ElementsByNameIn(t.name, origin);
+  // The span includes the origin when it bears the name: descendant::
+  // excludes the context node itself, descendant-or-self:: keeps it.
+  if (span && step.axis == Axis::kDescendant && !span->empty() &&
+      span->front() == origin) {
+    span = span->subspan(1);
   }
-  if (!from_doc && !from_doc_elem) return nullptr;
-  // descendant:: excludes the context node itself; descendant-or-self
-  // keeps it (the document node is never in the element index).
-  *skip_origin = step.axis == Axis::kDescendant;
-  return &doc->ElementsByName(t.name);
+  return span;
 }
 
 bool Evaluator::TryIndexedStep(const Step& step, const Sequence& current,
                                Sequence* out) {
   if (current.size() != 1 || !current[0].is_node()) return false;
-  xml::Node* origin = current[0].node();
-  bool skip_origin = false;
-  const std::vector<xml::Node*>* bucket =
-      IndexedStepBucket(step, origin, &skip_origin);
-  if (bucket == nullptr) return false;
+  std::optional<std::span<xml::Node* const>> bucket =
+      IndexedStepBucket(step, current[0].node());
+  if (!bucket) return false;
   out->clear();
   out->reserve(bucket->size());
-  for (xml::Node* h : *bucket) {
-    if (skip_origin && h == origin) continue;
-    out->push_back(Item::Node(h));
-  }
+  for (xml::Node* h : *bucket) out->push_back(Item::Node(h));
   return true;
 }
 
-// fn:count(//name): the index bucket's size answers the count without
-// instantiating a single item (minus the origin when the descendant
-// axis would exclude it).
+// fn:count(//name): the index span's size answers the count without
+// instantiating a single item.
 bool Evaluator::TryFastCount(const Expr& arg, DynamicContext& ctx,
                              int64_t* out) {
   if (arg.kind != ExprKind::kPath || !arg.kids.empty()) return false;
@@ -1265,20 +1186,10 @@ bool Evaluator::TryFastCount(const Expr& arg, DynamicContext& ctx,
   if (!ctx.focus().has_item || !ctx.focus().item.is_node()) return false;
   xml::Node* origin = arg.root_anchored ? ctx.focus().item.node()->Root()
                                         : ctx.focus().item.node();
-  bool skip_origin = false;
-  const std::vector<xml::Node*>* bucket =
-      IndexedStepBucket(arg.steps[0], origin, &skip_origin);
-  if (bucket == nullptr) return false;
-  int64_t n = static_cast<int64_t>(bucket->size());
-  if (skip_origin) {
-    for (xml::Node* h : *bucket) {
-      if (h == origin) {
-        --n;
-        break;
-      }
-    }
-  }
-  *out = n;
+  std::optional<std::span<xml::Node* const>> bucket =
+      IndexedStepBucket(arg.steps[0], origin);
+  if (!bucket) return false;
+  *out = static_cast<int64_t>(bucket->size());
   ++stats_.count_index_hits;
   ++stats_.name_index_hits;
   CountBuffersAvoided();
@@ -1499,7 +1410,7 @@ Result<Sequence> Evaluator::EvalStep(const Step& step, xml::Node* node,
       result.push_back(Item::Node(n));
     }
   }
-  if (step.predicates.empty()) return result;
+  if (step.predicates.empty() || result.empty()) return result;
   // Predicates see axis order, which AxisNodes already provides: reverse
   // axes are emitted nearest-first, so position 1 is the nearest node.
   return ApplyPredicates(step.predicates, std::move(result), ctx);
@@ -1681,22 +1592,21 @@ bool Evaluator::ParallelSafePredicate(const Expr& e) {
 
 bool Evaluator::TryParallelPredicate(const Expr& pred, const Sequence& input,
                                      DynamicContext& ctx,
-                                     bool global_positions,
                                      Result<Sequence>* out) {
-  if (!options_.parallel_streams || pool_ == nullptr || pool_->size() == 0) {
+  // Below the cutoff the fork/join overhead dominates.
+  if (!options_.parallel_streams || pool_ == nullptr || pool_->size() == 0 ||
+      input.size() < options_.parallel_cutoff || !ParallelSafePredicate(pred)) {
     return false;
   }
-  if (!ParallelSafePredicate(pred)) return false;
 
   const size_t n = input.size();
   const int64_t size64 = static_cast<int64_t>(n);
 
-  // Evaluates `pred` for input[i] on (eval, cctx). keep/abandon out-params;
-  // abandon fires when a numeric predicate value appears without
-  // global-position semantics (the uncollapsed //name form, where the
-  // real positions are per-parent and this whole fast path is invalid).
+  // Evaluates `pred` for input[i] on (eval, cctx), as ApplyOnePredicate
+  // does: the input is one origin's span, so a numeric predicate value
+  // selects by global index.
   auto eval_one = [&](Evaluator& eval, DynamicContext& cctx, size_t i,
-                      bool* keep, bool* abandon) -> Status {
+                      bool* keep) -> Status {
     DynamicContext::Focus f;
     f.item = input[i];
     f.position = static_cast<int64_t>(i) + 1;
@@ -1711,10 +1621,6 @@ bool Evaluator::TryParallelPredicate(const Expr& pred, const Sequence& input,
     }
     XQ_ASSIGN_OR_RETURN(Sequence v, eval.Eval(pred, cctx));
     if (v.size() == 1 && !v[0].is_node() && v[0].atomic().is_numeric()) {
-      if (!global_positions) {
-        *abandon = true;
-        return Status();
-      }
       XQ_ASSIGN_OR_RETURN(double d, v[0].atomic().ToDouble());
       *keep = (d == static_cast<double>(i + 1));
       return Status();
@@ -1723,39 +1629,15 @@ bool Evaluator::TryParallelPredicate(const Expr& pred, const Sequence& input,
     return Status();
   };
 
-  // Chained predicates shrink the input; below the cutoff the fork/join
-  // overhead dominates, so finish serially (same semantics either way).
-  if (n < options_.parallel_cutoff) {
-    if (global_positions) {
-      *out = ApplyOnePredicate(pred, input, ctx);
-      return true;
-    }
-    DynamicContext::Focus saved = ctx.focus();
-    Sequence result;
-    bool abandon = false;
-    Status st;
-    for (size_t i = 0; i < n && st.ok() && !abandon; ++i) {
-      bool keep = false;
-      st = eval_one(*this, ctx, i, &keep, &abandon);
-      if (st.ok() && keep) result.push_back(input[i]);
-    }
-    ctx.set_focus(saved);
-    if (abandon) return false;
-    if (!st.ok()) {
-      *out = st;
-      return true;
-    }
-    *out = std::move(result);
-    return true;
-  }
-
-  const size_t nchunks = std::min(n, (pool_->size() + 1) * 2);
-  const size_t chunk = (n + nchunks - 1) / nchunks;
+  // Recount the chunks from the rounded-up size: with n below about
+  // nchunks² the last planned slices would start past the end.
+  const size_t planned = std::min(n, (pool_->size() + 1) * 2);
+  const size_t chunk = (n + planned - 1) / planned;
+  const size_t nchunks = (n + chunk - 1) / chunk;
   struct ChunkResult {
     std::vector<char> keep;
     Status error;
     bool failed = false;
-    bool abandoned = false;
     EvalStats stats;
   };
   std::vector<ChunkResult> chunks(nchunks);
@@ -1779,12 +1661,7 @@ bool Evaluator::TryParallelPredicate(const Expr& pred, const Sequence& input,
     cctx.clock = ctx.clock;
     for (size_t i = lo; i < hi; ++i) {
       bool keep = false;
-      bool abandon = false;
-      Status st = eval_one(eval, cctx, i, &keep, &abandon);
-      if (abandon) {
-        res.abandoned = true;
-        break;
-      }
+      Status st = eval_one(eval, cctx, i, &keep);
       if (!st.ok()) {
         res.error = std::move(st);
         res.failed = true;
@@ -1794,13 +1671,6 @@ bool Evaluator::TryParallelPredicate(const Expr& pred, const Sequence& input,
     }
     res.stats = eval.stats();
   });
-
-  // A positional abandon anywhere invalidates the whole attempt: the
-  // caller re-runs the sequential stream, which also restores the
-  // first-error-in-document-order guarantee for that case.
-  for (const ChunkResult& res : chunks) {
-    if (res.abandoned) return false;
-  }
 
   // Merge on the caller's thread. Chunks are contiguous slices, so the
   // first failed chunk holds the first error in input order (the

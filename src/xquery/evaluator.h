@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -45,13 +47,13 @@ class Evaluator {
   // evaluators, and its cutoff), the one semantic oracle (compiled_plans
   // off: every call tree-walks) and the federation prefetch switch.
   struct EvalOptions {
-    // Split whole-tree //name steps across the worker pool: the
-    // element-name-index bucket is partitioned, each worker evaluates
-    // the first predicate over its slice (with globally correct
-    // position()/last()), and the kept nodes merge back in document
-    // order. Requires a thread pool (set_thread_pool) and a bucket of
-    // at least parallel_cutoff nodes; smaller buckets stay sequential —
-    // the fork/join overhead would dominate.
+    // Split indexed descendant name steps (//name[pred]) across the
+    // worker pool: the element-name-index span is partitioned, each
+    // worker evaluates the first predicate over its slice (with globally
+    // correct position()/last()), and the kept nodes merge back in
+    // document order. Requires a thread pool (set_thread_pool) and a
+    // span of at least parallel_cutoff nodes; smaller spans stay
+    // sequential — the fork/join overhead would dominate.
     bool parallel_streams = true;
     size_t parallel_cutoff = 2048;
     // Dispatch user-declared function calls through compiled register
@@ -248,19 +250,22 @@ class Evaluator {
   // Evaluates `e` and returns its effective boolean value; lazy kinds
   // stream and stop at the first witness item.
   Result<bool> EvalBool(const Expr& e, DynamicContext& ctx);
-  // Element-name-index bucket for a whole-tree descendant name step
-  // from `origin`, or nullptr when not applicable. *skip_origin is set
-  // when the origin itself must be excluded (descendant:: axis).
-  const std::vector<xml::Node*>* IndexedStepBucket(const Step& step,
-                                                   xml::Node* origin,
-                                                   bool* skip_origin);
-  // Whole-tree descendant name step answered from the document's
-  // element-name index; fills *out (doc order, duplicate-free, step
+  // The nodes a descendant(-or-self) exact-name step selects from
+  // `origin` before predicates: the origin's subtree range of the
+  // element-name index (Document::ElementsByNameIn), the origin itself
+  // dropped on the descendant axis. Serves any origin attached to the
+  // document tree (document node, document element or any element
+  // below); nullopt for other steps and for detached origins, which
+  // walk.
+  std::optional<std::span<xml::Node* const>> IndexedStepBucket(
+      const Step& step, xml::Node* origin);
+  // A descendant name step from a single attached origin answered from
+  // the element-name index; fills *out (doc order, duplicate-free, step
   // predicates NOT yet applied) and returns true when applicable.
   bool TryIndexedStep(const Step& step, const xdm::Sequence& current,
                       xdm::Sequence* out);
-  // fn:count over a bare //name path answered from the index size
-  // without instantiating items.
+  // fn:count over a bare descendant name path (//name, .//name) answered
+  // from the index span's size without instantiating items.
   bool TryFastCount(const Expr& arg, DynamicContext& ctx, int64_t* out);
   // Conservative static scan: could evaluating `e` as a predicate
   // observe fn:last() (directly or through a called function, which
@@ -311,18 +316,14 @@ class Evaluator {
   // calls only to nothing: builtins of fn:/xs: minus doc/put/trace and
   // the interactive browser dialogs.) Memoized per node.
   bool ParallelSafePredicate(const Expr& e);
-  // Parallel predicate evaluation over an indexed //name bucket:
-  // partitions `input` across the pool, evaluates `pred` per node, and
-  // fills `out` with the kept nodes in document order. With
-  // `global_positions` (single-origin descendant::name step) a numeric
-  // predicate value selects by global index; without it (the
-  // uncollapsed //name form, where positions are per-parent) a numeric
-  // value makes the whole call abandon — the caller falls back to the
-  // sequential stream. Returns false when the gate declines (no pool,
-  // bucket under cutoff, unsafe predicate, runtime positional abandon).
+  // Parallel predicate evaluation over one origin's index span:
+  // partitions `input` across the pool, evaluates `pred` per node (a
+  // numeric value selects by global index, as in ApplyOnePredicate),
+  // and fills `out` with the kept nodes in document order. Returns false
+  // when the gate declines (no pool, span under cutoff, unsafe
+  // predicate); the caller then filters sequentially.
   bool TryParallelPredicate(const Expr& pred, const xdm::Sequence& input,
-                            DynamicContext& ctx, bool global_positions,
-                            Result<xdm::Sequence>* out);
+                            DynamicContext& ctx, Result<xdm::Sequence>* out);
 
   // Async federation: if `e` is a FLWOR whose remote GETs are templated
   // over the loop variable (federation::AnalyzeFlworScatter, memoized

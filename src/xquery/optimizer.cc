@@ -1,5 +1,6 @@
 #include "xquery/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -17,6 +18,14 @@ class Rewriter {
   Rewriter(const OptimizerOptions& options, OptimizerStats* stats,
            const analysis::AnalysisFacts* facts)
       : options_(options), stats_(stats), facts_(facts) {}
+
+  // Calls to fn: functions the module itself declares resolve to those
+  // declarations ahead of the builtins, so they may read the focus.
+  void DeclareFunctions(const Module& module) {
+    for (const auto& fn : module.functions) {
+      if (fn->name.ns() == xml::kFnNamespace) declared_fn_.push_back(fn->name);
+    }
+  }
 
   void Rewrite(ExprPtr* slot) {
     if (*slot == nullptr) return;
@@ -412,6 +421,67 @@ class Rewriter {
     *slot = std::move(kept);
   }
 
+  // A predicate whose value is a boolean or a node sequence — never a
+  // number, which would select by position — and which reads neither
+  // fn:position() nor fn:last(): a comparison, and/or, some/every, or an
+  // axis path. Declared and external functions inherit the focus in the
+  // XQIB dialect, so any call to one counts as a position read.
+  bool PositionFree(const Expr& pred) const {
+    switch (pred.kind) {
+      case ExprKind::kComparison:
+      case ExprKind::kLogical:
+      case ExprKind::kQuantified:
+        break;
+      case ExprKind::kPath:
+        if (pred.steps.empty()) return false;
+        break;
+      default:
+        return false;
+    }
+    return !MayReadPosition(pred);
+  }
+
+  // Conservative: true when evaluating `e` could observe the focus
+  // position or size. Direct constructors and full-text selections hide
+  // their expressions from this scan, so they count as reads.
+  bool MayReadPosition(const Expr& e) const {
+    if (e.kind == ExprKind::kFunctionCall) {
+      if (e.qname.ns() == xml::kFnNamespace) {
+        if (e.qname.local() == "position" || e.qname.local() == "last" ||
+            std::find(declared_fn_.begin(), declared_fn_.end(), e.qname) !=
+                declared_fn_.end()) {
+          return true;
+        }
+      } else if (e.qname.ns() != xml::kXsNamespace) {
+        return true;
+      }
+    }
+    if (e.kind == ExprKind::kDirectElement ||
+        e.kind == ExprKind::kFtContains) {
+      return true;
+    }
+    auto reads = [this](const ExprPtr& x) {
+      return x != nullptr && MayReadPosition(*x);
+    };
+    if (std::any_of(e.kids.begin(), e.kids.end(), reads) ||
+        std::any_of(e.predicates.begin(), e.predicates.end(), reads) ||
+        reads(e.where)) {
+      return true;
+    }
+    for (const Clause& c : e.clauses) {
+      if (reads(c.expr)) return true;
+    }
+    for (const OrderSpec& spec : e.order_specs) {
+      if (reads(spec.key)) return true;
+    }
+    for (const Step& step : e.steps) {
+      if (std::any_of(step.predicates.begin(), step.predicates.end(), reads)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   // descendant-or-self::node() (no predicates) followed by child::T
   // selects exactly descendant::T; fusing the steps avoids materializing
   // every node of the subtree as an intermediate sequence.
@@ -424,12 +494,15 @@ class Rewriter {
     std::vector<Step> out;
     out.reserve(e->steps.size());
     for (size_t i = 0; i < e->steps.size(); ++i) {
-      // Only predicate-free child steps fuse: predicates see per-parent
-      // positions on child:: but per-subtree positions on descendant::,
-      // so "//a[1]" must NOT become "descendant::a[1]".
+      // Predicates see per-parent positions on child:: but per-subtree
+      // positions on descendant::, so "//a[1]" must NOT become
+      // "descendant::a[1]". Predicates whose truth cannot depend on the
+      // position select the same nodes either way.
       if (i + 1 < e->steps.size() && is_dos_node(e->steps[i]) &&
           e->steps[i + 1].axis == Axis::kChild &&
-          e->steps[i + 1].predicates.empty()) {
+          std::all_of(e->steps[i + 1].predicates.begin(),
+                      e->steps[i + 1].predicates.end(),
+                      [this](const ExprPtr& p) { return PositionFree(*p); })) {
         Step fused = std::move(e->steps[i + 1]);
         fused.axis = Axis::kDescendant;
         out.push_back(std::move(fused));
@@ -551,6 +624,7 @@ class Rewriter {
   const OptimizerOptions& options_;
   OptimizerStats* stats_;
   const analysis::AnalysisFacts* facts_;
+  std::vector<xml::QName> declared_fn_;
 };
 
 }  // namespace
@@ -567,6 +641,7 @@ OptimizerStats OptimizeModule(Module* module, const OptimizerOptions& options,
                               const analysis::AnalysisFacts* facts) {
   OptimizerStats stats;
   Rewriter rewriter(options, &stats, facts);
+  rewriter.DeclareFunctions(*module);
   for (VarDecl& decl : module->variables) {
     if (decl.init != nullptr) rewriter.Rewrite(&decl.init);
   }

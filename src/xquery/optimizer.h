@@ -13,9 +13,12 @@
 //                             the rewrite is the canonical exists form)
 //   * boolean simplification— not(not(E)) -> boolean(E),
 //                             empty(E) inverted to exists and vice versa
-//   * path collapsing       — descendant-or-self::node()/child::T
-//                             -> descendant::T, avoiding the full-node
-//                             intermediate sequence "//T" otherwise builds
+//   * path collapsing       — descendant-or-self::node()/child::T[p]
+//                             -> descendant::T[p] when every p is
+//                             position-free, avoiding the full-node
+//                             intermediate sequence "//T" otherwise
+//                             builds; from one attached node the fused
+//                             step is an element-name-index range
 //   * inferred rewrites     — cardinalities proved by the static analyzer
 //                             (AnalysisFacts) let count/exists/empty and
 //                             positional filters fold on *inferred*

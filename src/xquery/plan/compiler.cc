@@ -333,10 +333,10 @@ class FunctionCompiler {
     return dst;
   }
 
-  // Whole-tree descendant name steps (//span) lower to a direct
-  // element-name-index probe; the step's ordering annotations make the
-  // sort elision static. Anything else tree-walks (and still hits the
-  // evaluator's own index/stream fast paths).
+  // Descendant name steps from the root or the focus (//span, .//span)
+  // lower to a direct element-name-index probe; the step's ordering
+  // annotations make the sort elision static. Anything else tree-walks
+  // (and still hits the evaluator's own index/stream fast paths).
   uint16_t CompilePath(const Expr& e) {
     bool indexable =
         e.kids.empty() && e.steps.size() == 1 &&
@@ -429,8 +429,8 @@ class FunctionCompiler {
     std::string label = e.qname.Lexical() + "#" + std::to_string(arity) +
                         (pure ? " [pure]" : "");
 
-    // fn:count over an indexable whole-tree step: answered from the
-    // bucket size (kCountIndexed), tree fallback otherwise.
+    // fn:count over an indexable descendant step: answered from the
+    // index span's size (kCountIndexed), tree fallback otherwise.
     if (fn == nullptr && e.qname.ns() == xml::kFnNamespace &&
         e.qname.local() == "count" && arity == 1 &&
         e.kids[0]->kind == ExprKind::kPath && e.kids[0]->kids.empty() &&

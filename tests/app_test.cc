@@ -192,6 +192,28 @@ TEST_F(ElsevierTest, ClientSideOffloadsTheServer) {
   }
 }
 
+// Fig. 2's click re-runs the former server query over the cached corpus
+// (local:cached()//article[@id=$aid], three times, after two
+// //div[@id=...] lookups). Every one of those descendant steps reads the
+// element-name index — from the document node or from the corpus
+// element — so a click pulls a few hundred items, not the whole corpus.
+TEST_F(ElsevierTest, ClientClickReadsTheNameIndex) {
+  const elsevier::CorpusOptions corpus;  // 48 articles, 10 refs each
+  BrowserEnvironment env;
+  ASSERT_TRUE(elsevier::BuildCorpus(&env.store(), corpus).ok());
+  ASSERT_TRUE(elsevier::DeployServer(&env.store(), &env.fabric()).ok());
+  auto report =
+      elsevier::RunSession(&env, elsevier::Deployment::kClientSide, corpus, 0);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(env.ClickId("link-a-17").ok()) << env.ScriptErrors();
+  ASSERT_NE(env.ById("title"), nullptr);
+  const auto& stats = env.plugin().last_event_stats();
+  // Before the index served predicated and subtree steps: 0 hits and
+  // 6,526 items pulled on this click.
+  EXPECT_EQ(stats.name_index_hits, 8u);
+  EXPECT_LE(stats.items_pulled, 191u);
+}
+
 TEST_F(ElsevierTest, CorpusIsDeterministic) {
   net::XmlStore s1, s2;
   ASSERT_TRUE(elsevier::BuildCorpus(&s1, corpus_).ok());

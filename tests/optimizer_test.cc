@@ -158,12 +158,33 @@ TEST(PathCollapsing, DescendantChildFuses) {
   EXPECT_EQ(body->steps[1].axis, Axis::kChild);
 }
 
+TEST(PathCollapsing, PositionFreePredicatesFuse) {
+  // Comparisons, and/or and axis paths are booleans or nodes, never a
+  // position number, and read neither position() nor last().
+  for (const char* q : {"//a[@p]", "//a[b]", "//a[@p = 1 and c]",
+                        "//a[some $x in b satisfies $x = 1]"}) {
+    ExprPtr body;
+    EXPECT_EQ(Optimize(q, &body).paths_collapsed, 1) << q;
+    ASSERT_EQ(body->steps.size(), 1u) << q;
+    EXPECT_EQ(body->steps[0].axis, Axis::kDescendant) << q;
+    EXPECT_EQ(body->steps[0].predicates.size(), 1u) << q;
+  }
+}
+
 TEST(PathCollapsing, PositionalPredicatesBlockFusion) {
-  ExprPtr body;
-  OptimizerStats stats = Optimize("//a[1]", &body);
-  EXPECT_EQ(stats.paths_collapsed, 0);
-  ASSERT_EQ(body->steps.size(), 2u);
-  EXPECT_EQ(body->steps[0].axis, Axis::kDescendantOrSelf);
+  for (const char* q :
+       {"//b[1]", "//b[last()]", "//b[position() < 2]",
+        "declare variable $n external; //b[$n]", "//b[@p][1]",
+        "//b[@p = last()]",
+        // A declared function inherits the focus, so it may read it,
+        // also when it is declared in the fn: namespace.
+        "declare function local:f() { 1 }; //b[local:f() = 1]",
+        "declare function fn:f() { 1 }; //b[fn:f() = 1]"}) {
+    ExprPtr body;
+    EXPECT_EQ(Optimize(q, &body).paths_collapsed, 0) << q;
+    ASSERT_EQ(body->steps.size(), 2u) << q;
+    EXPECT_EQ(body->steps[0].axis, Axis::kDescendantOrSelf) << q;
+  }
 }
 
 TEST(PathCollapsing, PreservesSemantics) {
@@ -174,6 +195,17 @@ TEST(PathCollapsing, PreservesSemantics) {
   // The positional case the fusion must NOT change: each a's first b.
   EXPECT_EQ(EvalBoth("count(//a/b[1])", doc), "2");
   EXPECT_EQ(EvalBoth("count(//b[1])", doc), "3");
+  EXPECT_EQ(EvalBoth("count(//b[last()])", doc), "3");
+  EXPECT_EQ(EvalBoth("count(//b[position() < 2])", doc), "3");
+  EXPECT_EQ(EvalBoth("declare function fn:f() { position() }; "
+                     "count(//b[fn:f() = 1])",
+                     doc),
+            "3");
+  // Fused predicated steps, from the root and from a mid-tree origin.
+  EXPECT_EQ(EvalBoth("count(//a[b])", doc), "2");
+  EXPECT_EQ(EvalBoth("count(//a[a])", doc), "1");
+  EXPECT_EQ(EvalBoth("count(/r/a//b[not(*)])", doc), "3");
+  EXPECT_EQ(EvalBoth("count((//a)[2]//b[. = ''])", doc), "2");
 }
 
 TEST(Optimizer, DisabledRulesDoNothing) {

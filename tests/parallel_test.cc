@@ -282,9 +282,9 @@ std::string EvalWithPool(const std::string& query, const std::string& xml,
 }
 
 TEST(ParallelPredicates, AgreeWithSerialAcrossQueryShapes) {
-  // Value predicates partition across workers; `//item[pred]` is the
-  // uncollapsed descendant-or-self::node()/child::item form, and the
-  // explicit /descendant::item form is the single-origin collapsed one.
+  // Value predicates partition across workers; the optimizer fuses
+  // `//item[pred]` into the single-origin descendant::item[pred] form,
+  // the same step as the explicit /descendant::item one.
   const char* partitioned[] = {
       "string-join(//item[@v > 500]/@v, \",\")",
       "count(//item[@v > 500])",
@@ -295,12 +295,12 @@ TEST(ParallelPredicates, AgreeWithSerialAcrossQueryShapes) {
       // a numeric predicate partitions and selects by global index.
       "string-join(/descendant::item[17]/@v, \",\")",
   };
-  // Positional predicates over the uncollapsed form must NOT partition:
-  // positions are per-parent there, and fn:position/fn:last are
-  // excluded statically everywhere. They still have to agree with
-  // serial via the sequential fallback.
+  // Positional predicates keep the per-parent child step, which never
+  // reads the index span; fn:position/fn:last are also excluded from
+  // partitioning statically everywhere. They still have to agree with
+  // serial.
   const char* positional[] = {
-      "string-join(//item[17]/@v, \",\")",     // numeric → runtime abandon
+      "string-join(//item[17]/@v, \",\")",
       "string-join(//item[position() = 1234]/@v, \",\")",
       "string-join(//item[last()]/@v, \",\")",  // needs the real size
   };
@@ -345,6 +345,27 @@ TEST(ParallelPredicates, CutoffKeepsSmallBucketsSequential) {
   serial.parallel_streams = false;
   EXPECT_EQ(got, EvalWithPool("count(//item[@v > 500])", BigItems(500),
                               serial, nullptr));
+}
+
+// A bucket only a little larger than the planned chunk count: rounding
+// the chunk size up used to leave the last planned slices starting past
+// the end of the bucket.
+TEST(ParallelPredicates, SmallBucketsOnWidePoolsStayInBounds) {
+  ThreadPool pool(8);  // 18 planned chunks
+  xquery::Evaluator::EvalOptions par;
+  par.parallel_cutoff = 2;
+  xquery::Evaluator::EvalOptions serial;
+  serial.parallel_streams = false;
+  for (size_t n : {19u, 20u, 40u, 300u}) {
+    xquery::Evaluator::EvalStats stats;
+    const std::string page = BigItems(n);
+    std::string got =
+        EvalWithPool("count(//item[@v > 500])", page, par, &pool, &stats);
+    EXPECT_EQ(got, EvalWithPool("count(//item[@v > 500])", page, serial,
+                                nullptr))
+        << n;
+    EXPECT_GT(stats.parallel_predicate_chunks, 0u) << n;
+  }
 }
 
 TEST(ParallelPredicates, ErrorsSurfaceLikeSerial) {

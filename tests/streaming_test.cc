@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "random_page.h"
 #include "xml/serializer.h"
 #include "xml/xml_parser.h"
 #include "xquery/engine.h"
@@ -82,34 +83,6 @@ void ExpectResult(const std::string& got, const Expected& want,
   }
   EXPECT_EQ(got.size(), want.length) << where;
   EXPECT_EQ(Fnv1a64(got), want.hash) << where << "\n  got: " << got;
-}
-
-// Deterministic pseudo-random page: nested sections with repeated
-// element names at several depths, so paths produce duplicates,
-// out-of-order raw axis output, and ancestor/descendant overlap.
-std::string RandomPage(uint32_t seed, int sections) {
-  uint32_t state = seed;
-  auto next = [&state]() {
-    state = state * 1664525u + 1013904223u;  // numerical-recipes LCG
-    return (state >> 16) & 0x7fff;
-  };
-  std::string xml = "<page>";
-  for (int s = 0; s < sections; ++s) {
-    xml += "<sec id=\"s" + std::to_string(s) + "\">";
-    int items = 1 + static_cast<int>(next() % 4);
-    for (int i = 0; i < items; ++i) {
-      int v = static_cast<int>(next() % 100);
-      xml += "<item v=\"" + std::to_string(v) + "\">";
-      if (next() % 3 == 0) {
-        xml += "<item v=\"" + std::to_string(v + 100) + "\"><leaf/></item>";
-      }
-      xml += "<leaf/></item>";
-    }
-    if (next() % 2 == 0) xml += "<note>n" + std::to_string(s) + "</note>";
-    xml += "</sec>";
-  }
-  xml += "</page>";
-  return xml;
 }
 
 // ----------------------------------------------------- result oracle ---

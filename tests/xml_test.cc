@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 
 #include "xml/dom.h"
@@ -222,6 +223,43 @@ TEST(Dom, GetElementById) {
   Node* a = doc->GetElementById("one");
   a->Detach();
   EXPECT_EQ(doc->GetElementById("one"), nullptr);
+  // Duplicate ids: the first element in document order wins, whatever
+  // the creation order (the DOM rule, and fn:id's).
+  auto dup = Parse("<r><x id=\"d\"/><y><z id=\"d\"/></y></r>");
+  EXPECT_EQ(dup->GetElementById("d")->name().local(), "x");
+  Node* late = dup->CreateElement(QName("w"));
+  late->SetAttribute(QName("id"), "d");
+  dup->DocumentElement()->InsertFirst(late);
+  EXPECT_EQ(dup->GetElementById("d"), late);
+  late->Detach();
+  dup->GetElementById("d")->Detach();  // x
+  EXPECT_EQ(dup->GetElementById("d")->name().local(), "z");
+}
+
+// A subtree's slice of a name's bucket: its own key range, origin
+// included, in document order; detached subtrees have no slice.
+TEST(Dom, ElementsByNameInCutsTheSubtreeRange) {
+  auto doc = Parse("<p><p id=\"a\"><q/><p id=\"b\"/></p><p id=\"c\"/></p>");
+  Node* a = doc->GetElementById("a");
+  auto ids = [](std::span<Node* const> span) {
+    std::string out;
+    for (const Node* n : span) out += n->GetAttributeValue("id") + ".";
+    return out;
+  };
+  EXPECT_EQ(ids(*doc->ElementsByNameIn(QName("p"), doc->root())), ".a.b.c.");
+  EXPECT_EQ(ids(*doc->ElementsByNameIn(QName("p"), a)), "a.b.");
+  EXPECT_EQ(ids(*doc->ElementsByNameIn(QName("p"), a->children()[0])), "");
+  EXPECT_EQ(
+      ids(*doc->ElementsByNameIn(QName("p"), doc->GetElementById("c"))),
+      "c.");
+  // Keys stay exact across an insert: the new node lands in range.
+  Node* d = doc->CreateElement(QName("p"));
+  d->SetAttribute(QName("id"), "d");
+  a->children()[0]->AppendChild(d);
+  EXPECT_EQ(ids(*doc->ElementsByNameIn(QName("p"), a)), "a.d.b.");
+  a->Detach();
+  EXPECT_FALSE(doc->ElementsByNameIn(QName("p"), a).has_value());
+  EXPECT_EQ(ids(*doc->ElementsByNameIn(QName("p"), doc->root())), ".c.");
 }
 
 // ---------------------------------------------- element-name index ---

@@ -303,8 +303,15 @@ TEST(FastPaths, AgreeWithForcedSortOracle) {
        "Dogs and cats|Query languages|The dog barked", 1, 1, 1, 0},
       {"(//author)[1]", "Ann", 1, 0, 1, 1},
       {"(//author)[last()]", "Dan", 1, 0, 1, 1},
-      {"//book[price > 20]/title", "Query languages The dog barked", 4, 2,
-       0, 0},
+      {"//book[price > 20]/title", "Query languages The dog barked", 4, 1,
+       1, 0},
+      // Subtree origins: the origin's key range of the name's bucket.
+      {"(//book)[2]//title", "Query languages", 2, 0, 2, 1},
+      {"count((//book)[2]//author)", "2", 2, 0, 2, 1},
+      // Positional predicates keep the per-parent child step: no fusion.
+      {"//author[1]", "Ann Bob Dan", 1, 1, 0, 0},
+      {"//author[last()]", "Ann Cid Dan", 1, 1, 0, 0},
+      {"//author[position() < 2]", "Ann Bob Dan", 1, 1, 0, 0},
       {"exists(//price)", "true", 1, 0, 1, 1},
       {"exists(//nothing)", "false", 1, 0, 1, 0},
       {"empty(//nothing)", "true", 1, 0, 1, 0},
@@ -365,7 +372,8 @@ TEST(FastPaths, NameIndexScopeLimits) {
   Evaluator::EvalStats stats;
   EXPECT_EQ(EvalWithStats("count(//*)", kBooks, &stats), "14");
   EXPECT_EQ(stats.name_index_hits, 0u);
-  // Steps from a mid-tree context node can't use the whole-doc index.
+  // Only a path's first step reads the index: a descendant step after
+  // child steps walks each origin's subtree.
   EXPECT_EQ(EvalWithStats("count(/books/book[1]//author)", kBooks, &stats),
             "1");
   EXPECT_EQ(stats.name_index_hits, 0u);
